@@ -21,13 +21,13 @@ from .factors import (ModelConfig, PreferenceFactors, init_factors,
                       load_factors, predict, predict_pairs, save_factors)
 from .graphnet import (PseudoGraphParams, SocialGraphParams,
                        build_pseudo_graph, build_social_graph, load_graph,
-                       normalize_edges, save_graph, transition_row)
+                       normalize_edges, save_graph)
 from .metrics import EvalReport, evaluate, variance_bench
+from .synth import SynthInstance, planted_instance
 from .trainer import (TrainConfig, TrainState, fit, fit_uniform_baseline,
                       load_state, save_state)
 from .walker import (BASELINE_KINDS, BaselineSampler, SampleBatch,
-                     SamplerConfig, WalkEngine, baseline_sample,
-                     sample_batch, walk_sample_user)
+                     SamplerConfig, WalkEngine)
 
 __version__ = "0.1.0"
 
@@ -36,16 +36,15 @@ __all__ = [
     "EstimatorError", "EvalReport", "FilterResult", "GuardError",
     "InteractionMatrix", "ModelConfig", "ParseError", "PreferenceFactors",
     "PseudoGraphParams", "SampleBatch", "SamplerConfig", "SocialEdges",
-    "SocialGraphParams", "SplitSpec", "TrainConfig", "TrainState",
-    "WalkEngine", "WalkrecError", "__version__", "baseline_sample",
+    "SocialGraphParams", "SplitSpec", "SynthInstance", "TrainConfig",
+    "TrainState", "WalkEngine", "WalkrecError", "__version__",
     "binarize_and_filter", "build_pseudo_graph", "build_social_graph",
     "elbo_value", "evaluate", "fit", "fit_uniform_baseline",
     "full_objective", "g_term", "g_term_grad", "init_factors",
     "load_factors", "load_graph", "load_interactions", "load_social",
     "load_state", "matrix_from_pairs", "normalize_edges",
-    "phi_objective_and_backward", "predict", "predict_pairs",
-    "propagate_columns", "propagate_forward", "read_pairs", "sample_batch",
+    "phi_objective_and_backward", "planted_instance", "predict",
+    "predict_pairs", "propagate_columns", "propagate_forward", "read_pairs",
     "save_factors", "save_graph", "save_state", "social_edges",
-    "split_folds", "split_train_test", "transition_row", "variance_bench",
-    "walk_sample_user", "write_pairs",
+    "split_folds", "split_train_test", "variance_bench", "write_pairs",
 ]

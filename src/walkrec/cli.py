@@ -45,8 +45,6 @@ TRAIN_DEFAULTS = {
     "eval_every": 0,
     "ks": "5,10",
     "seed": 0,
-    "deterministic": True,
-    "threads": 1,
     "ablation": "none",
 }
 
@@ -103,8 +101,6 @@ def _build_train_config(settings: dict) -> TrainConfig:
                            eval_every=int(settings["eval_every"]),
                            eval_ks=_parse_ks(settings["ks"]),
                            seed=int(settings["seed"]),
-                           deterministic=bool(settings["deterministic"]),
-                           threads=int(settings["threads"]),
                            ablation=str(settings["ablation"]),
                            model=model, sampler=sampler)
     except ValueError as e:
@@ -132,15 +128,9 @@ def _load_data_dir(path: str):
     social = None
     social_path = os.path.join(path, "social.tsv")
     if os.path.exists(social_path):
-        pairs = []
-        with open(social_path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                s, t = line.split("\t")[:2]
-                pairs.append((int(s), int(t)))
-        social = corpus.social_edges(train.n, pairs)
+        links = corpus.read_pairs(social_path, n=train.n, m=train.n)
+        social = corpus.social_edges(
+            train.n, np.column_stack([links.row_users, links.row_items]))
     return train, test, social
 
 
@@ -469,10 +459,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="evaluate every E epochs (default off)")
     p.add_argument("--ks", help="evaluation cutoffs, comma separated (default 5,10)")
     p.add_argument("--seed", type=int, help="master rng seed (default 0)")
-    p.add_argument("--deterministic", action=argparse.BooleanOptionalAction,
-                   help="fixed reduction order; byte-stable checkpoints (default on)")
-    p.add_argument("--threads", type=int,
-                   help="worker bound for auxiliary parallelism (default 1)")
+    p.add_argument("--deterministic", action="store_true",
+                   help="accepted for compatibility; training is always "
+                        "deterministic (same seed, byte-identical checkpoints)")
     p.add_argument("--ablation", choices=trainer.ABLATIONS,
                    help="freeze the bridge mix (samwalker_pp only)")
     p.set_defaults(func=cmd_train)

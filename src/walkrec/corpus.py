@@ -419,4 +419,23 @@ def read_pairs(path: str, n: int | None = None, m: int | None = None) -> Interac
         raise EmptyDatasetError(f"{path}: no pairs")
     n = n if n is not None else max(us) + 1
     m = m if m is not None else max(its) + 1
-    return matrix_from_pairs(n, m, us, its)
+    users = np.asarray(us, dtype=np.int64)
+    items = np.asarray(its, dtype=np.int64)
+    bad = np.flatnonzero((users < 0) | (users >= n) | (items < 0) | (items >= m))
+    if bad.size:
+        raise ParseError(path, _data_line_no(path, int(bad[0])),
+                         f"id out of range (users < {n}, items < {m})")
+    return matrix_from_pairs(n, m, users, items)
+
+
+def _data_line_no(path: str, k: int) -> int:
+    """Line number of the k-th (0-based) pair line, skipping blanks and
+    comments the way read_pairs does."""
+    with open(path, "r", encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            line = line.strip()
+            if line and not line.startswith("#"):
+                if k == 0:
+                    return line_no
+                k -= 1
+    raise ValueError(f"{path}: fewer pair lines than read_pairs read")

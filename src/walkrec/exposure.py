@@ -30,10 +30,10 @@ import numpy as np
 
 from .corpus import InteractionMatrix
 from .errors import GuardError
-from .factors import PreferenceFactors, TAU, sigmoid
+from .factors import PreferenceFactors, TAU, pair_dots, sigmoid
 from .graphnet import (PseudoGraphParams, PseudoTransition, SocialGraphParams,
                        SocialTransition, normalize_edges, row_softmax_vjp,
-                       segment_softmax_vjp, segment_sum)
+                       segment_softmax_vjp)
 
 GAMMA_CLAMP = 1e-12
 
@@ -188,8 +188,7 @@ def _social_backward(mat: SocialTransition, gammas, gbar, t_m: int,
                      c: float) -> SocialGraphGrads:
     gprobs = np.zeros_like(mat.probs)
     for t in range(t_m, 0, -1):
-        prev = gammas[t - 1]
-        gprobs += c * np.einsum("ej,ej->e", gbar[mat.src], prev[mat.targets])
+        gprobs += c * pair_dots(gbar, mat.src, gammas[t - 1], mat.targets)
         gbar = c * mat.apply_WT(gbar)
     return SocialGraphGrads(
         logits=segment_softmax_vjp(mat.probs, gprobs, mat.indptr))
@@ -202,24 +201,19 @@ def _pseudo_backward(mat: PseudoTransition, gammas, parts_list, gbar,
     guc = np.zeros_like(mat.uc_probs)
     gcu = np.zeros_like(mat.cu_probs)
     ga = np.zeros(mat.n, dtype=np.float64)
-    ui_by_item = mat.ui_probs[mat.perm_by_item]
-    iu_by_user = mat.iu_probs[mat.perm_by_user]
     for t in range(t_m, 0, -1):
         prev = gammas[t - 1]
         s, tc, mi, mc = parts_list[t - 1]
         mbar_i = (c * mat.a)[:, None] * gbar
         mbar_c = (c * (1.0 - mat.a))[:, None] * gbar
         ga += c * np.einsum("uj,uj->u", gbar, mi - mc)
-        gui += np.einsum("ej,ej->e", mbar_i[mat.ui_users], s[mat.ui_items])
-        sbar = segment_sum(ui_by_item[:, None] * mbar_i[mat.iu_users],
-                           mat.iu_indptr)
-        giu += np.einsum("fj,fj->f", sbar[mat.iu_items], prev[mat.iu_users])
+        gui += pair_dots(mbar_i, mat.ui_users, s, mat.ui_items)
+        sbar = mat.UI.T @ mbar_i
+        giu += pair_dots(sbar, mat.iu_items, prev, mat.iu_users)
         tbar = mat.uc_probs.T @ mbar_c
         guc += mbar_c @ tc.T
         gcu += tbar @ prev.T
-        gbar = (segment_sum(iu_by_user[:, None] * sbar[mat.ui_items],
-                            mat.ui_indptr)
-                + mat.cu_probs.T @ tbar)
+        gbar = mat.IU.T @ sbar + mat.cu_probs.T @ tbar
     gmix = mat.a * (1.0 - mat.a) * ga
     gmix[mat.forced] = 0.0
     if mat.params.freeze_mix:

@@ -6,10 +6,12 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from .errors import ParseError
 
 TAU = 1e-7
+PAIR_DOT_CELLS = 1 << 20  # gathered cells per operand per pair_dots block
 FACTORS_MAGIC = b"PREFFACT"
 FACTORS_VERSION = 1
 
@@ -93,10 +95,25 @@ def predict(factors: PreferenceFactors, u: int, i: int) -> float:
     return float(clamped_sigmoid(factors.P[u] @ factors.Q[i]))
 
 
+def pair_dots(A: np.ndarray, rows, B: np.ndarray, cols) -> np.ndarray:
+    """Row dot products A[rows[e]] . B[cols[e]] for every pair e (an SDDMM).
+
+    Rows are gathered a bounded block at a time, so the temporaries hold at
+    most PAIR_DOT_CELLS cells per operand whatever the number of pairs.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
+    out = np.empty(rows.shape[0], dtype=np.float64)
+    step = max(1, PAIR_DOT_CELLS // max(1, A.shape[1]))
+    for lo in range(0, rows.shape[0], step):
+        hi = lo + step
+        np.einsum("ij,ij->i", A[rows[lo:hi]], B[cols[lo:hi]], out=out[lo:hi])
+    return out
+
+
 def predict_pairs(factors: PreferenceFactors, users, items) -> np.ndarray:
     """Vectorized predict over parallel user/item id arrays."""
-    z = np.einsum("ij,ij->i", factors.P[users], factors.Q[items])
-    return clamped_sigmoid(z)
+    return clamped_sigmoid(pair_dots(factors.P, users, factors.Q, items))
 
 
 def bern_ll(x, b):
@@ -120,22 +137,22 @@ def grad_theta_pair(factors: PreferenceFactors, u: int, i: int, x: float,
 
 
 def accumulate_pair_gradients(factors: PreferenceFactors, users, items,
-                              labels, weights=None
+                              labels, weights=None, sig=None
                               ) -> tuple[np.ndarray, np.ndarray]:
     """Sum of per-pair likelihood gradients, evaluated at fixed factors.
 
     Returns dense (dP, dQ); repeated pairs add up. weights, if given, scale
-    each pair's contribution.
+    each pair's contribution; sig, if given, is predict_pairs at the same
+    pairs and is used instead of recomputing it.
     """
-    sig = predict_pairs(factors, users, items)
+    if sig is None:
+        sig = predict_pairs(factors, users, items)
     r = np.asarray(labels, dtype=np.float64) - sig
     if weights is not None:
         r = r * weights
-    dP = np.zeros_like(factors.P)
-    dQ = np.zeros_like(factors.Q)
-    np.add.at(dP, users, r[:, None] * factors.Q[items])
-    np.add.at(dQ, items, r[:, None] * factors.P[users])
-    return dP, dQ
+    # the residuals as an n x m sparse matrix; CSR conversion sums repeats
+    S = sparse.csr_array((r, (users, items)), shape=(factors.n, factors.m))
+    return S @ factors.Q, S.T @ factors.P
 
 
 def save_factors(path: str, factors: PreferenceFactors) -> None:

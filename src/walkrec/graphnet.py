@@ -9,9 +9,10 @@ gate a_u = sigmoid(mix_logit_u), so
 
     W[u, v] = a_u * sum_i phi_ui * phi_iv + (1 - a_u) * sum_c phi_uc * phi_cv
 
-with each phi block row-softmaxed. W is never materialized at scale; both
-families expose apply_W / apply_WT that map a column block (n x J) through
-W or its transpose in O(edges * J).
+with each phi block row-softmaxed. W is never materialized at scale: the
+social W and the pseudo bridges (user->item UI, item->user IU) are scipy
+CSR matrices, and both families expose apply_W / apply_WT that map a column
+block (n x J) through W or its transpose in O(edges * J).
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from .corpus import InteractionMatrix, SocialEdges
 from .errors import GuardError, ParseError
@@ -29,17 +31,6 @@ GRAPH_MAGIC = b"PROPGRPH"
 GRAPH_VERSION = 1
 MODE_SOCIAL = 0
 MODE_PSEUDO = 1
-
-
-def segment_sum(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
-    """Sum consecutive groups of rows; empty groups yield zero rows."""
-    counts = np.diff(indptr)
-    shape = (counts.shape[0],) + values.shape[1:]
-    out = np.zeros(shape, dtype=np.float64)
-    nz = counts > 0
-    if values.shape[0]:
-        out[nz] = np.add.reduceat(values, indptr[:-1][nz], axis=0)
-    return out
 
 
 def segment_softmax(logits: np.ndarray, indptr: np.ndarray) -> np.ndarray:
@@ -96,11 +87,10 @@ class SocialGraphParams:
 class PseudoGraphParams:
     """Learnable state of the pseudo transition graph.
 
-    Topology is exactly the training matrix: one user->item and one
-    item->user logit per observed pair, plus dense user<->community logits
-    and the per-user mixing logit. ``perm_by_item`` reorders the flat
-    user-grouped pair arrays into item-grouped order; ``perm_by_user`` is its
-    inverse, so iu arrays (stored item-grouped) can be read user-grouped.
+    Topology is exactly the training matrix: one user->item logit per
+    observed pair in user-grouped (CSR) order, one item->user logit per pair
+    in item-grouped (CSC) order, plus dense user<->community logits and the
+    per-user mixing logit.
     """
 
     train: InteractionMatrix
@@ -110,8 +100,6 @@ class PseudoGraphParams:
     uc_logits: np.ndarray
     cu_logits: np.ndarray
     mix_logits: np.ndarray
-    perm_by_item: np.ndarray
-    perm_by_user: np.ndarray
     freeze_mix: bool = False
 
     @property
@@ -138,9 +126,6 @@ def build_pseudo_graph(train: InteractionMatrix, K: int = 32, seed=0,
         raise ValueError("K must be at least 1")
     rng = np.random.default_rng(seed)
     nnz, n, m = train.nnz, train.n, train.m
-    perm_by_item = np.lexsort((train.row_users, train.row_items))
-    perm_by_user = np.empty(nnz, dtype=np.int64)
-    perm_by_user[perm_by_item] = np.arange(nnz, dtype=np.int64)
     return PseudoGraphParams(
         train=train,
         K=K,
@@ -149,8 +134,6 @@ def build_pseudo_graph(train: InteractionMatrix, K: int = 32, seed=0,
         uc_logits=rng.normal(0.0, init_scale, size=(n, K)),
         cu_logits=rng.normal(0.0, init_scale, size=(K, n)),
         mix_logits=np.zeros(n, dtype=np.float64),
-        perm_by_item=perm_by_item,
-        perm_by_user=perm_by_user,
     )
 
 
@@ -167,23 +150,17 @@ class SocialTransition:
         self.targets = ed.targets
         self.src = np.repeat(np.arange(ed.n, dtype=np.int64), np.diff(ed.indptr))
         self.probs = segment_softmax(params.logits, ed.indptr)
-        self.t_order = np.lexsort((self.src, self.targets))
-        t_counts = np.bincount(self.targets, minlength=ed.n)
-        self.t_indptr = np.zeros(ed.n + 1, dtype=np.int64)
-        np.cumsum(t_counts, out=self.t_indptr[1:])
+        self.W = sparse.csr_array((self.probs, self.targets, self.indptr),
+                                  shape=(ed.n, ed.n))
 
     def apply_W(self, G: np.ndarray) -> np.ndarray:
-        return segment_sum(self.probs[:, None] * G[self.targets], self.indptr)
+        return self.W @ G
 
     def apply_WT(self, G: np.ndarray) -> np.ndarray:
-        o = self.t_order
-        return segment_sum(self.probs[o][:, None] * G[self.src[o]], self.t_indptr)
+        return self.W.T @ G
 
     def transition_row(self, u: int) -> np.ndarray:
-        row = np.zeros(self.n, dtype=np.float64)
-        lo, hi = self.indptr[u], self.indptr[u + 1]
-        np.add.at(row, self.targets[lo:hi], self.probs[lo:hi])
-        return row
+        return self.W[[u]].toarray()[0]
 
 
 class PseudoTransition:
@@ -212,13 +189,15 @@ class PseudoTransition:
         self.a = sigmoid(params.mix_logits)
         self.forced = tr.row_counts == 0
         self.a[self.forced] = 0.0
-        self.perm_by_item = params.perm_by_item
-        self.perm_by_user = params.perm_by_user
+        self.UI = sparse.csr_array((self.ui_probs, self.ui_items, self.ui_indptr),
+                                   shape=(self.n, self.m))
+        self.IU = sparse.csr_array((self.iu_probs, self.iu_users, self.iu_indptr),
+                                   shape=(self.m, self.n))
 
     def apply_W_parts(self, G: np.ndarray):
         """W G along with the bridge intermediates needed for backprop."""
-        s = segment_sum(self.iu_probs[:, None] * G[self.iu_users], self.iu_indptr)
-        mi = segment_sum(self.ui_probs[:, None] * s[self.ui_items], self.ui_indptr)
+        s = self.IU @ G
+        mi = self.UI @ s
         tc = self.cu_probs @ G
         mc = self.uc_probs @ tc
         out = self.a[:, None] * mi + (1.0 - self.a)[:, None] * mc
@@ -228,21 +207,13 @@ class PseudoTransition:
         return self.apply_W_parts(G)[0]
 
     def apply_WT(self, G: np.ndarray) -> np.ndarray:
-        v = segment_sum(self.ui_probs[self.perm_by_item][:, None]
-                        * (self.a[:, None] * G)[self.iu_users], self.iu_indptr)
-        w = segment_sum(self.iu_probs[self.perm_by_user][:, None]
-                        * v[self.ui_items], self.ui_indptr)
+        v = self.UI.T @ (self.a[:, None] * G)
         t = self.uc_probs.T @ ((1.0 - self.a)[:, None] * G)
-        return w + self.cu_probs.T @ t
+        return self.IU.T @ v + self.cu_probs.T @ t
 
     def transition_row(self, u: int) -> np.ndarray:
         row = (1.0 - self.a[u]) * (self.uc_probs[u] @ self.cu_probs)
-        lo, hi = self.ui_indptr[u], self.ui_indptr[u + 1]
-        for e in range(lo, hi):
-            i = self.ui_items[e]
-            flo, fhi = self.iu_indptr[i], self.iu_indptr[i + 1]
-            row[self.iu_users[flo:fhi]] += (self.a[u] * self.ui_probs[e]
-                                            * self.iu_probs[flo:fhi])
+        row += self.a[u] * (self.UI[[u]] @ self.IU).toarray()[0]
         return row
 
 
@@ -253,15 +224,6 @@ def normalize_edges(params):
     if isinstance(params, PseudoGraphParams):
         return PseudoTransition(params)
     raise TypeError(f"not a graph parameter object: {type(params).__name__}")
-
-
-def transition_row(graph, u: int) -> np.ndarray:
-    """Row u of the transition matrix; accepts params or a materialized graph."""
-    if isinstance(graph, (SocialGraphParams, PseudoGraphParams)):
-        graph = normalize_edges(graph)
-    if not 0 <= u < graph.n:
-        raise IndexError(f"user id {u} out of range [0, {graph.n})")
-    return graph.transition_row(u)
 
 
 def dense_transition(graph, max_cells: int = 10_000_000) -> np.ndarray:

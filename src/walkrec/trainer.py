@@ -54,8 +54,6 @@ class TrainConfig:
     eval_every: int = 0
     eval_ks: tuple[int, ...] = (5, 10)
     seed: int = 0
-    deterministic: bool = True
-    threads: int = 1
     ablation: str = "none"
     model: ModelConfig = field(default_factory=ModelConfig)
     sampler: SamplerConfig = field(default_factory=SamplerConfig)
@@ -75,8 +73,6 @@ class TrainConfig:
             raise ConfigError("eval_every must be >= 0")
         if not self.eval_ks or min(self.eval_ks) < 1:
             raise ConfigError("eval_ks must be positive cutoffs")
-        if self.threads < 1:
-            raise ConfigError("threads must be at least 1")
 
 
 @dataclass
@@ -94,18 +90,22 @@ def _epoch_rng(seed: int, epoch: int) -> np.random.Generator:
 
 
 def update_theta_from_batch(factors: PreferenceFactors, batch: SampleBatch,
-                            lr: float, l2: float = 0.0) -> None:
+                            lr: float, l2: float = 0.0) -> float:
     """One SGD step on the batch-sum gradient, in place.
 
     Gradients for all entries are accumulated at the current factors and
-    applied once, so repeated pairs contribute additively. An empty batch
-    logs a warning and changes nothing.
+    applied once, so repeated pairs contribute additively. Returns the
+    batch's summed log likelihood at the pre-step factors, from the same
+    predictions the gradient uses. An empty batch logs a warning, changes
+    nothing and returns 0.
     """
     if batch.size == 0:
         _logger.warning("empty sample batch; theta update skipped")
-        return
+        return 0.0
+    labels = batch.labels.astype(np.float64)
+    sig = predict_pairs(factors, batch.users, batch.items)
     dP, dQ = accumulate_pair_gradients(factors, batch.users, batch.items,
-                                       batch.labels.astype(np.float64))
+                                       labels, sig=sig)
     if l2 > 0.0:
         cu = np.bincount(batch.users, minlength=factors.n)[:, None]
         ci = np.bincount(batch.items, minlength=factors.m)[:, None]
@@ -113,6 +113,7 @@ def update_theta_from_batch(factors: PreferenceFactors, batch: SampleBatch,
         dQ -= l2 * ci * factors.Q
     factors.P += lr * dP
     factors.Q += lr * dQ
+    return float(np.sum(bern_ll(labels, sig)))
 
 
 def update_phi_step(params, factors: PreferenceFactors, X: InteractionMatrix,
@@ -191,11 +192,9 @@ def _walk_epoch(state: TrainState, train: InteractionMatrix,
     for _ in range(cfg.theta_steps):
         batch = engine.sample_batch(rng)
         batch_size += batch.size
-        if batch.size:
-            sig = predict_pairs(state.factors, batch.users, batch.items)
-            theta_ll += float(np.sum(bern_ll(batch.labels.astype(np.float64), sig)))
-        update_theta_from_batch(state.factors, batch, cfg.model.lr_theta,
-                                cfg.model.l2_theta)
+        theta_ll += update_theta_from_batch(state.factors, batch,
+                                            cfg.model.lr_theta,
+                                            cfg.model.l2_theta)
     items = _select_phi_items(train.m, cfg.n_si, rng)
     value = update_phi_step(state.graph, state.factors, train, items,
                             cfg.model, cfg.sampler)

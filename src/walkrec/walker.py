@@ -25,8 +25,8 @@ import numpy as np
 
 from .corpus import InteractionMatrix
 from .errors import EstimatorError
-from .graphnet import (PseudoGraphParams, PseudoTransition, SocialGraphParams,
-                       SocialTransition, normalize_edges)
+from .graphnet import (PseudoGraphParams, SocialGraphParams, SocialTransition,
+                       normalize_edges)
 
 BASELINE_KINDS = ("allunion", "balunion", "itempop", "cobias")
 
@@ -69,20 +69,6 @@ class SampleBatch:
     @property
     def size(self) -> int:
         return int(self.users.shape[0])
-
-
-def _expand_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Concatenate arange(s, s + k) for each (s, k); zero counts allowed."""
-    keep = counts > 0
-    starts, counts = starts[keep], counts[keep]
-    total = int(counts.sum())
-    if total == 0:
-        return np.zeros(0, dtype=np.int64)
-    out = np.ones(total, dtype=np.int64)
-    out[0] = starts[0]
-    ends = np.cumsum(counts)[:-1]
-    out[ends] = starts[1:] - starts[:-1] - counts[:-1] + 1
-    return np.cumsum(out)
 
 
 class _RowSampler:
@@ -167,13 +153,21 @@ class WalkEngine:
 
     def emit(self, origins: np.ndarray, stops: np.ndarray,
              rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Thin each stop user's positives at 1/beta, labeled at the origin."""
+        """Thin each stop user's positives at 1/beta, labeled at the origin.
+
+        Walk w's candidates are its stop user's positives, laid end to end
+        walk after walk; one uniform draw per candidate decides which are
+        kept, and only the kept positions are mapped back to a walk and an
+        offset into its stop user's row.
+        """
         counts = self.X.row_counts[stops]
-        cand_users = np.repeat(origins, counts)
-        cand_items = self.X.row_items[
-            _expand_ranges(self.X.row_indptr[stops], counts)]
-        keep = rng.random(cand_items.shape[0]) < 1.0 / self.cfg.beta
-        users, items = cand_users[keep], cand_items[keep]
+        ends = np.cumsum(counts)
+        total = int(ends[-1]) if ends.size else 0
+        keep = np.flatnonzero(rng.random(total) < 1.0 / self.cfg.beta)
+        walk = np.searchsorted(ends, keep, side="right")
+        offset = keep - (ends[walk] - counts[walk])
+        users = origins[walk]
+        items = self.X.row_items[self.X.row_indptr[stops[walk]] + offset]
         return users, items, self.X.labels(users, items)
 
     def sample_batch(self, rng: np.random.Generator | None = None) -> SampleBatch:
@@ -185,48 +179,6 @@ class WalkEngine:
         users, items, labels = self.emit(origins, stops, rng)
         return SampleBatch(users=users, items=items, labels=labels,
                            expected_scale=self.cfg.beta / self.cfg.alpha)
-
-
-def sample_batch(graph, X: InteractionMatrix, cfg: SamplerConfig,
-                 rng: np.random.Generator | None = None) -> SampleBatch:
-    """One-shot batch draw; builds a WalkEngine and discards it."""
-    return WalkEngine(graph, X, cfg).sample_batch(rng)
-
-
-def walk_sample_user(graph, X: InteractionMatrix, u: int, cfg: SamplerConfig,
-                     rng: np.random.Generator) -> list[tuple[int, int, int]]:
-    """One walk from user u, as a readable scalar reference of the law.
-
-    Returns the emitted (u, item, x_ui) triples. The vectorized engine follows
-    the same law but consumes the rng stream in a different order.
-    """
-    if isinstance(graph, (SocialGraphParams, PseudoGraphParams)):
-        graph = normalize_edges(graph)
-    if not 0 <= u < graph.n:
-        raise IndexError(f"user id {u} out of range [0, {graph.n})")
-    v = u
-    for depth in range(cfg.t_m + 1):
-        if rng.random() >= cfg.c:
-            break
-        if depth == cfg.t_m:
-            v = int(rng.integers(0, graph.n))
-            break
-        if isinstance(graph, SocialTransition):
-            lo, hi = graph.indptr[v], graph.indptr[v + 1]
-            v = int(rng.choice(graph.targets[lo:hi], p=graph.probs[lo:hi]))
-        elif rng.random() < graph.a[v]:
-            lo, hi = graph.ui_indptr[v], graph.ui_indptr[v + 1]
-            i = int(rng.choice(graph.ui_items[lo:hi], p=graph.ui_probs[lo:hi]))
-            lo, hi = graph.iu_indptr[i], graph.iu_indptr[i + 1]
-            v = int(rng.choice(graph.iu_users[lo:hi], p=graph.iu_probs[lo:hi]))
-        else:
-            comm = int(rng.choice(graph.K, p=graph.uc_probs[v]))
-            v = int(rng.choice(graph.n, p=graph.cu_probs[comm]))
-    out = []
-    for i in X.row(v):
-        if rng.random() < 1.0 / cfg.beta:
-            out.append((u, int(i), int(X.labels(np.array([u]), np.array([i]))[0])))
-    return out
 
 
 class AliasTable:
@@ -310,7 +262,9 @@ class BaselineSampler:
             self._one_pair = AliasTable(w1)
             self._z1 = w1.sum()
             total_cc = cc.sum()
-            owned = segmented_sum_of(cc, X)  # sum of c_i over u's positives
+            # sum of c_i over u's positives
+            owned = np.bincount(X.row_users, weights=cc[X.row_items],
+                                minlength=n)
             w0 = rc * (total_cc - owned)
             if w0.sum() <= 0:
                 raise EstimatorError("cobias: zero class has no mass")
@@ -421,18 +375,3 @@ class BaselineSampler:
             w[X.row(u)] = 0.0
             items[j] = AliasTable(w).draw(rng, 1)[0]
         return users, items
-
-
-def segmented_sum_of(values: np.ndarray, X: InteractionMatrix) -> np.ndarray:
-    """Per-user sum of values[i] over the user's positive items."""
-    out = np.zeros(X.n, dtype=np.float64)
-    np.add.at(out, X.row_users, values[X.row_items])
-    return out
-
-
-def baseline_sample(kind: str, X: InteractionMatrix, size: int,
-                    rng: np.random.Generator | None = None) -> SampleBatch:
-    """One-shot draw from a named baseline distribution."""
-    if rng is None:
-        rng = np.random.default_rng(0)
-    return BaselineSampler(kind, X).sample(size, rng)

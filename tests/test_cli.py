@@ -68,6 +68,19 @@ class TestExitCodes:
                          "--out", str(tmp_path / "model")] + FAST_TRAIN)
         assert code == 2
 
+    @pytest.mark.parametrize("bad_line", ["3\tx", "7", "0\t99999", "-1\t2"])
+    def test_malformed_social_line_is_2(self, tmp_path, capsys, bad_line):
+        data = run_prepare(tmp_path)
+        path = os.path.join(data, "social.tsv")
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(bad_line + "\n# trailing comment\n")
+        with open(path, encoding="utf-8") as fh:
+            line_no = sum(1 for _ in fh) - 1
+        code = cli.main(["train", "--data", data, "--mode", "samwalker",
+                         "--out", str(tmp_path / "model")] + FAST_TRAIN)
+        assert code == 2
+        assert f"social.tsv:{line_no}:" in capsys.readouterr().err
+
     def test_guard_is_3(self, tmp_path):
         code = cli.main(["bench", "sampler",
                          "--synth", "n=600,m=600,d=4,groups=2,seed=0",

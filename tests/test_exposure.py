@@ -237,7 +237,6 @@ class TestPhiGradient:
             train=params.train, K=params.K, ui_logits=params.ui_logits,
             iu_logits=params.iu_logits, uc_logits=params.uc_logits,
             cu_logits=params.cu_logits, mix_logits=params.mix_logits,
-            perm_by_item=params.perm_by_item, perm_by_user=params.perm_by_user,
             freeze_mix=True)
         f = random_factors(6, 8, 3, seed=25)
         _, grads = ex.phi_objective_and_backward(

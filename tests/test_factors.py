@@ -144,6 +144,39 @@ class TestGradients:
         np.testing.assert_array_equal(a[0], b[0])
         np.testing.assert_array_equal(a[1], b[1])
 
+    def test_accumulate_reuses_given_predictions(self):
+        f = random_factors(3, 4, 2, seed=11)
+        users = np.array([0, 2, 2])
+        items = np.array([3, 1, 3])
+        labels = np.array([1.0, 0.0, 1.0])
+        sig = fa.predict_pairs(f, users, items)
+        a = fa.accumulate_pair_gradients(f, users, items, labels)
+        b = fa.accumulate_pair_gradients(f, users, items, labels, sig=sig)
+        np.testing.assert_array_equal(a[0], b[0])
+        np.testing.assert_array_equal(a[1], b[1])
+
+
+class TestPairDots:
+    def test_blocks_match_one_shot_einsum(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        A = rng.normal(size=(9, 4))
+        B = rng.normal(size=(7, 4))
+        rows = rng.integers(0, 9, size=50)
+        cols = rng.integers(0, 7, size=50)
+        want = np.einsum("ij,ij->i", A[rows], B[cols])
+        # 10 cells over 4 columns: blocks of 2 pairs, 25 boundaries crossed
+        monkeypatch.setattr(fa, "PAIR_DOT_CELLS", 10)
+        np.testing.assert_array_equal(fa.pair_dots(A, rows, B, cols), want)
+        # a block narrower than one row still takes a row at a time
+        monkeypatch.setattr(fa, "PAIR_DOT_CELLS", 1)
+        np.testing.assert_array_equal(fa.pair_dots(A, rows, B, cols), want)
+
+    def test_empty_pairs(self):
+        A = np.ones((3, 2))
+        got = fa.pair_dots(A, np.zeros(0, dtype=np.int64), A,
+                           np.zeros(0, dtype=np.int64))
+        assert got.shape == (0,) and got.dtype == np.float64
+
 
 class TestCheckpoint:
     def test_round_trip_exact(self, tmp_path):

@@ -1,0 +1,17 @@
+"""The README's library example runs as printed, with fewer epochs."""
+
+import os
+import re
+
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                      "README.md")
+
+
+def test_library_example_runs(capsys):
+    with open(README, encoding="utf-8") as fh:
+        blocks = re.findall(r"```python\n(.*?)```", fh.read(), flags=re.S)
+    assert len(blocks) == 1
+    code = blocks[0].replace("epochs=25", "epochs=2")
+    assert "epochs=2," in code
+    exec(compile(code, README, "exec"), {})
+    assert "'recall@5'" in capsys.readouterr().out

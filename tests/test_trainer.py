@@ -42,8 +42,6 @@ class TestTrainConfig:
         with pytest.raises(ConfigError):
             quick_config(K=0)
         with pytest.raises(ConfigError):
-            quick_config(threads=0)
-        with pytest.raises(ConfigError):
             quick_config(eval_ks=())
 
 
@@ -58,6 +56,21 @@ class TestThetaUpdate:
         r = 1.0 - sigmoid(float(P0[0] @ Q0[0]))
         np.testing.assert_allclose(f.P, P0 + r * Q0, rtol=1e-12)
         np.testing.assert_allclose(f.Q, Q0 + r * P0, rtol=1e-12)
+
+    def test_returns_pre_step_batch_log_likelihood(self):
+        f = PreferenceFactors(P=np.array([[0.5, -0.2], [0.1, 0.3]]),
+                              Q=np.array([[0.3, 0.4]]))
+        P0, Q0 = f.P.copy(), f.Q.copy()
+        batch = SampleBatch(users=np.array([0, 1]), items=np.array([0, 0]),
+                            labels=np.array([1, 0]), expected_scale=1.0)
+        ll = trainer.update_theta_from_batch(f, batch, lr=1.0, l2=0.1)
+        s0 = sigmoid(float(P0[0] @ Q0[0]))
+        s1 = sigmoid(float(P0[1] @ Q0[0]))
+        assert ll == pytest.approx(np.log(s0) + np.log(1.0 - s1), rel=1e-12)
+        empty = SampleBatch(users=np.zeros(0, np.int64),
+                            items=np.zeros(0, np.int64),
+                            labels=np.zeros(0, np.int8), expected_scale=1.0)
+        assert trainer.update_theta_from_batch(f, empty, lr=1.0) == 0.0
 
     def test_duplicates_accumulate_at_fixed_point(self):
         f = random_factors(3, 4, 2, seed=0)

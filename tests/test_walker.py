@@ -8,7 +8,8 @@ from walkrec.corpus import matrix_from_pairs
 from walkrec.errors import EstimatorError
 from walkrec.graphnet import (build_pseudo_graph, build_social_graph,
                               dense_transition, normalize_edges)
-from walkrec.oracle import dense_gamma_truncated, dense_stop_distribution
+from walkrec.oracle import (dense_gamma_truncated, dense_stop_distribution,
+                            walk_sample_user)
 
 from tests.conftest import (chi_square_pvalue, random_matrix, random_social)
 
@@ -25,19 +26,6 @@ class TestSamplerConfig:
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             wk.SamplerConfig(**kwargs)
-
-
-class TestExpandRanges:
-    def test_hand_case(self):
-        starts = np.array([3, 10, 0])
-        counts = np.array([2, 0, 3])
-        got = wk._expand_ranges(starts, counts)
-        assert got.tolist() == [3, 4, 0, 1, 2]
-
-    def test_empty(self):
-        got = wk._expand_ranges(np.array([], dtype=np.int64),
-                                np.array([], dtype=np.int64))
-        assert got.size == 0
 
 
 class TestRowSampler:
@@ -187,18 +175,45 @@ class TestWalkEngineEmission:
     def test_labels_and_scale(self):
         train, social, _ = make_graphs(seed=14)
         cfg = wk.SamplerConfig(alpha=50, beta=3.0, c=0.7, t_m=3, seed=0)
-        batch = wk.sample_batch(social, train, cfg,
-                                np.random.default_rng(15))
+        batch = wk.WalkEngine(social, train, cfg).sample_batch(
+            np.random.default_rng(15))
         assert batch.expected_scale == pytest.approx(cfg.beta / cfg.alpha)
         np.testing.assert_array_equal(batch.labels,
                                       train.labels(batch.users, batch.items))
         assert batch.size == batch.users.shape[0]
 
+    @pytest.mark.parametrize("beta", [1.0, 3.0])
+    def test_emit_matches_per_walk_reference(self, beta):
+        train, social, _ = make_graphs(seed=21)
+        cfg = wk.SamplerConfig(alpha=30, beta=beta, c=0.7, t_m=2, seed=0)
+        engine = wk.WalkEngine(social, train, cfg)
+        origins = np.repeat(np.arange(train.n, dtype=np.int64), cfg.alpha)
+        stops = engine.stop_users(origins, np.random.default_rng(22))
+        users, items, labels = engine.emit(origins, stops,
+                                           np.random.default_rng(23))
+        # the reference consumes one draw per candidate, walk by walk
+        draws = iter(np.random.default_rng(23).random(
+            int(train.row_counts[stops].sum())))
+        ref = [(int(u), int(i)) for u, v in zip(origins, stops)
+               for i in train.row(int(v)) if next(draws) < 1.0 / beta]
+        assert list(zip(users.tolist(), items.tolist())) == ref
+        assert users.dtype == origins.dtype
+        assert items.dtype == train.row_items.dtype
+        np.testing.assert_array_equal(labels, train.labels(users, items))
+
+    def test_emit_without_candidates(self):
+        train, social, _ = make_graphs(seed=24)
+        engine = wk.WalkEngine(social, train, wk.SamplerConfig())
+        empty = np.zeros(0, dtype=np.int64)
+        users, items, labels = engine.emit(empty, empty,
+                                           np.random.default_rng(0))
+        assert users.size == items.size == labels.size == 0
+
     def test_default_rng_reproducible(self):
         train, social, _ = make_graphs(seed=16)
         cfg = wk.SamplerConfig(alpha=20, beta=3.0, c=0.7, t_m=2, seed=42)
-        a = wk.sample_batch(social, train, cfg)
-        b = wk.sample_batch(social, train, cfg)
+        a = wk.WalkEngine(social, train, cfg).sample_batch()
+        b = wk.WalkEngine(social, train, cfg).sample_batch()
         assert np.array_equal(a.users, b.users)
         assert np.array_equal(a.items, b.items)
 
@@ -211,7 +226,7 @@ class TestScalarReference:
         counts = np.zeros((train.n, train.m))
         walks = 50_000
         for _ in range(walks):
-            for u, i, x in wk.walk_sample_user(pseudo, train, 3, cfg, rng):
+            for u, i, x in walk_sample_user(pseudo, train, 3, cfg, rng):
                 counts[u, i] += 1
         gamma = dense_gamma_truncated(dense_transition(pseudo),
                                       train.to_dense(), cfg.c, cfg.t_m)
@@ -225,7 +240,7 @@ class TestScalarReference:
         cfg = wk.SamplerConfig(alpha=1, beta=1.0, c=0.8, t_m=3, seed=0)
         rng = np.random.default_rng(20)
         for _ in range(200):
-            for u, i, x in wk.walk_sample_user(social, train, 5, cfg, rng):
+            for u, i, x in walk_sample_user(social, train, 5, cfg, rng):
                 assert u == 5
                 assert x == float(train.contains(5, i))
 
@@ -347,8 +362,8 @@ class TestBaselineSampling:
 
     def test_wrapper_dispatch(self):
         X = random_matrix(5, 7, 0.3, seed=27)
-        batch = wk.baseline_sample("balunion", X, 100,
-                                   np.random.default_rng(28))
+        batch = wk.BaselineSampler("balunion", X).sample(
+            100, np.random.default_rng(28))
         assert batch.size == 100
         with pytest.raises(ValueError):
-            wk.baseline_sample("nope", X, 10)
+            wk.BaselineSampler("nope", X)
