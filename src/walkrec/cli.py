@@ -20,9 +20,8 @@ from . import corpus, metrics, synth, trainer
 from .errors import (ConfigError, EmptyDatasetError, EstimatorError,
                      GuardError, ParseError, WalkrecError)
 from .factors import ModelConfig, load_factors
-from .graphnet import build_pseudo_graph, build_social_graph, normalize_edges
+from .graphnet import build_pseudo_graph, build_social_graph, dense_transition
 from .oracle import dense_gamma_truncated
-from .graphnet import dense_transition
 from .trainer import TrainConfig, TrainState
 from .walker import BASELINE_KINDS, BaselineSampler, SamplerConfig, WalkEngine
 
@@ -268,25 +267,24 @@ def cmd_bench_sampler(args: argparse.Namespace) -> int:
         raise GuardError("sampler bench needs a small instance "
                          f"(got {train.n}x{train.m})")
     graph = _bench_graph(train, social, args)
-    cfg = SamplerConfig(alpha=max(1, args.draws // train.n), beta=args.beta,
+    n, m = train.n, train.m
+    cfg = SamplerConfig(alpha=max(1, args.draws // n), beta=args.beta,
                         c=args.c, t_m=args.t_m, seed=args.seed)
-    W = dense_transition(normalize_edges(graph))
+    W = dense_transition(graph)
     gamma = dense_gamma_truncated(W, train.to_dense(), cfg.c, cfg.t_m)
     rng = np.random.default_rng(args.seed)
     rows = []
     engine = WalkEngine(graph, train, cfg)
     batch = engine.sample_batch(rng)
-    counts = np.zeros((train.n, train.m))
-    np.add.at(counts, (batch.users, batch.items), 1.0)
+    counts = np.bincount(batch.users * m + batch.items, minlength=n * m).reshape(n, m)
     expected = cfg.alpha * gamma / cfg.beta
     rows.append(("walk",) + _freq_stats(counts, expected, fixed_total=False))
     for kind in BASELINE_KINDS:
         sampler = BaselineSampler(kind, train)
         b = sampler.sample(args.draws, rng)
-        counts = np.zeros((train.n, train.m))
-        np.add.at(counts, (b.users, b.items), 1.0)
-        us, its = np.indices((train.n, train.m))
-        p = sampler.prob(us.ravel(), its.ravel()).reshape(train.n, train.m)
+        counts = np.bincount(b.users * m + b.items, minlength=n * m).reshape(n, m)
+        us, its = np.indices((n, m))
+        p = sampler.prob(us.ravel(), its.ravel()).reshape(n, m)
         rows.append((kind,) + _freq_stats(counts, args.draws * p, fixed_total=True))
     _write_rows(args.out, "sampler,cells,statistic,dof,p_value,tv", rows)
     return 0
@@ -304,11 +302,8 @@ def _freq_stats(counts: np.ndarray, expected: np.ndarray, fixed_total: bool):
         stat += float((obs_tail - exp_tail) ** 2 / exp_tail)
         cells += 1
     dof = max(1, cells - (1 if fixed_total else 0))
-    try:
-        from scipy.stats import chi2
-        p_value = f"{chi2.sf(stat, dof):.6g}"
-    except ImportError:
-        p_value = ""
+    from scipy.stats import chi2  # slow to import; only this bench needs it
+    p_value = f"{chi2.sf(stat, dof):.6g}"
     total = max(counts.sum(), 1.0)
     tv = float(0.5 * np.abs(counts / total - expected / expected.sum()).sum())
     return cells, f"{stat:.3f}", dof, p_value, f"{tv:.6f}"

@@ -142,6 +142,28 @@ def _sniff_delimiter(line: str) -> str:
     return "\t" if "\t" in line else ","
 
 
+def _data_lines(path: str):
+    """(line number, stripped text) of each non-blank, non-comment line.
+
+    The file is read and decoded whole, which is faster than line by line.
+    Bytes that are not UTF-8 raise ParseError at their line number; a path
+    that cannot be opened or read raises ParseError at line 0.
+    """
+    try:
+        with open(path, "rb") as fh:
+            blob = fh.read()
+    except OSError as e:
+        raise ParseError(path, 0, str(e)) from None
+    try:
+        text = blob.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise ParseError(path, blob.count(b"\n", 0, e.start) + 1,
+                         f"not UTF-8 text ({e.reason})") from None
+    for line_no, line in enumerate(map(str.strip, text.split("\n")), start=1):
+        if line and not line.startswith("#"):
+            yield line_no, line
+
+
 def load_interactions(path: str, fmt: str | None = None) -> LoadResult:
     """Read an interaction file, remapping raw id tokens to dense integers.
 
@@ -156,34 +178,26 @@ def load_interactions(path: str, fmt: str | None = None) -> LoadResult:
     user_ids: list[str] = []
     item_ids: list[str] = []
     out: list[Interaction] = []
-    try:
-        fh = open(path, "r", encoding="utf-8")
-    except OSError as e:
-        raise ParseError(path, 0, str(e)) from None
-    with fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split(delim or _sniff_delimiter(line))
-            if len(fields) < 2:
-                raise ParseError(path, line_no, "expected at least user and item fields")
-            raw_u, raw_i = fields[0].strip(), fields[1].strip()
-            if not raw_u or not raw_i:
-                raise ParseError(path, line_no, "empty id token")
-            weight = None
-            if len(fields) >= 3 and fields[2].strip():
-                try:
-                    weight = float(fields[2])
-                except ValueError:
-                    raise ParseError(path, line_no, f"bad weight {fields[2]!r}") from None
-            if raw_u not in user_map:
-                user_map[raw_u] = len(user_ids)
-                user_ids.append(raw_u)
-            if raw_i not in item_map:
-                item_map[raw_i] = len(item_ids)
-                item_ids.append(raw_i)
-            out.append(Interaction(user_map[raw_u], item_map[raw_i], weight))
+    for line_no, line in _data_lines(path):
+        fields = line.split(delim or _sniff_delimiter(line))
+        if len(fields) < 2:
+            raise ParseError(path, line_no, "expected at least user and item fields")
+        raw_u, raw_i = fields[0].strip(), fields[1].strip()
+        if not raw_u or not raw_i:
+            raise ParseError(path, line_no, "empty id token")
+        weight = None
+        if len(fields) >= 3 and fields[2].strip():
+            try:
+                weight = float(fields[2])
+            except ValueError:
+                raise ParseError(path, line_no, f"bad weight {fields[2]!r}") from None
+        if raw_u not in user_map:
+            user_map[raw_u] = len(user_ids)
+            user_ids.append(raw_u)
+        if raw_i not in item_map:
+            item_map[raw_i] = len(item_ids)
+            item_ids.append(raw_i)
+        out.append(Interaction(user_map[raw_u], item_map[raw_i], weight))
     if not out:
         raise EmptyDatasetError(f"{path}: no interaction events")
     return LoadResult(out, user_ids, item_ids)
@@ -198,21 +212,13 @@ def load_social(path: str, user_map: dict[str, int], fmt: str | None = None) -> 
     """
     delim = {"tsv": "\t", "csv": ","}.get(fmt)
     pairs: list[tuple[int, int]] = []
-    try:
-        fh = open(path, "r", encoding="utf-8")
-    except OSError as e:
-        raise ParseError(path, 0, str(e)) from None
-    with fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split(delim or _sniff_delimiter(line))
-            if len(fields) < 2:
-                raise ParseError(path, line_no, "expected source and target fields")
-            raw_s, raw_t = fields[0].strip(), fields[1].strip()
-            if raw_s in user_map and raw_t in user_map:
-                pairs.append((user_map[raw_s], user_map[raw_t]))
+    for line_no, line in _data_lines(path):
+        fields = line.split(delim or _sniff_delimiter(line))
+        if len(fields) < 2:
+            raise ParseError(path, line_no, "expected source and target fields")
+        raw_s, raw_t = fields[0].strip(), fields[1].strip()
+        if raw_s in user_map and raw_t in user_map:
+            pairs.append((user_map[raw_s], user_map[raw_t]))
     return pairs
 
 
@@ -401,41 +407,30 @@ def write_pairs(path: str, matrix: InteractionMatrix) -> None:
 
 def read_pairs(path: str, n: int | None = None, m: int | None = None) -> InteractionMatrix:
     """Read a dense-id pair file written by write_pairs (no remapping)."""
-    us, its = [], []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split("\t" if "\t" in line else ",")
-            if len(fields) < 2:
-                raise ParseError(path, line_no, "expected user and item fields")
-            try:
-                us.append(int(fields[0]))
-                its.append(int(fields[1]))
-            except ValueError:
-                raise ParseError(path, line_no, "ids must be integers") from None
+    us, its, line_nos = [], [], []
+    for line_no, line in _data_lines(path):
+        fields = line.split("\t" if "\t" in line else ",")
+        if len(fields) < 2:
+            raise ParseError(path, line_no, "expected user and item fields")
+        us.append(fields[0])
+        its.append(fields[1])
+        line_nos.append(line_no)
     if not us:
         raise EmptyDatasetError(f"{path}: no pairs")
-    n = n if n is not None else max(us) + 1
-    m = m if m is not None else max(its) + 1
-    users = np.asarray(us, dtype=np.int64)
-    items = np.asarray(its, dtype=np.int64)
+    try:  # numpy parses the id tokens as int() does, but in one call
+        users = np.array(us, dtype=np.int64)
+        items = np.array(its, dtype=np.int64)
+    except ValueError:
+        for k, (u, i) in enumerate(zip(us, its)):
+            try:
+                int(u), int(i)
+            except ValueError:
+                raise ParseError(path, line_nos[k], "ids must be integers") from None
+        raise
+    n = n if n is not None else int(users.max()) + 1
+    m = m if m is not None else int(items.max()) + 1
     bad = np.flatnonzero((users < 0) | (users >= n) | (items < 0) | (items >= m))
     if bad.size:
-        raise ParseError(path, _data_line_no(path, int(bad[0])),
+        raise ParseError(path, line_nos[bad[0]],
                          f"id out of range (users < {n}, items < {m})")
     return matrix_from_pairs(n, m, users, items)
-
-
-def _data_line_no(path: str, k: int) -> int:
-    """Line number of the k-th (0-based) pair line, skipping blanks and
-    comments the way read_pairs does."""
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if line and not line.startswith("#"):
-                if k == 0:
-                    return line_no
-                k -= 1
-    raise ValueError(f"{path}: fewer pair lines than read_pairs read")

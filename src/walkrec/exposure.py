@@ -24,16 +24,12 @@ reverse-mode accumulation over the tape of intermediates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .corpus import InteractionMatrix
 from .errors import GuardError
-from .factors import PreferenceFactors, TAU, pair_dots, sigmoid
-from .graphnet import (PseudoGraphParams, PseudoTransition, SocialGraphParams,
-                       SocialTransition, normalize_edges, row_softmax_vjp,
-                       segment_softmax_vjp)
+from .factors import PreferenceFactors, TAU, sigmoid
+from .graphnet import normalize_edges
 
 GAMMA_CLAMP = 1e-12
 
@@ -67,20 +63,6 @@ def g_term_grad(gamma, x, eta: float, epsilon: float) -> np.ndarray:
     return -le + _clog(eta) - _clog(1.0 - eta) - _clog(gamma) + _clog(1.0 - gamma)
 
 
-@dataclass
-class SocialGraphGrads:
-    logits: np.ndarray
-
-
-@dataclass
-class PseudoGraphGrads:
-    ui_logits: np.ndarray
-    iu_logits: np.ndarray
-    uc_logits: np.ndarray
-    cu_logits: np.ndarray
-    mix_logits: np.ndarray
-
-
 def _check_propagation_args(t_m: int, c: float) -> None:
     if t_m < 0:
         raise ValueError("t_m must be nonnegative")
@@ -104,17 +86,12 @@ def propagate_columns(graph, Xcols: np.ndarray, t_m: int, c: float,
     in social mode). Without keep_tape both lists are None.
     """
     _check_propagation_args(t_m, c)
-    if isinstance(graph, (SocialGraphParams, PseudoGraphParams)):
-        graph = normalize_edges(graph)
+    graph = normalize_edges(graph)
     gamma = Xcols
     gammas = [Xcols] if keep_tape else None
     parts_list = [] if keep_tape else None
-    pseudo = isinstance(graph, PseudoTransition)
     for _ in range(t_m):
-        if pseudo:
-            wg, parts = graph.apply_W_parts(gamma)
-        else:
-            wg, parts = graph.apply_W(gamma), None
+        wg, parts = graph.apply_W_parts(gamma)
         gamma = (1.0 - c) * Xcols + c * wg
         if keep_tape:
             gammas.append(gamma)
@@ -177,51 +154,4 @@ def phi_objective_and_backward(params, factors: PreferenceFactors,
     ll = _column_likelihood(factors, X, items, Xcols)
     value = float(np.sum(gamma * ll) + np.sum(g_term(gamma, Xcols, eta, epsilon)))
     gbar = ll + g_term_grad(gamma, Xcols, eta, epsilon)
-    if isinstance(mat, SocialTransition):
-        grads = _social_backward(mat, gammas, gbar, t_m, c)
-    else:
-        grads = _pseudo_backward(mat, gammas, parts_list, gbar, t_m, c)
-    return value, grads
-
-
-def _social_backward(mat: SocialTransition, gammas, gbar, t_m: int,
-                     c: float) -> SocialGraphGrads:
-    gprobs = np.zeros_like(mat.probs)
-    for t in range(t_m, 0, -1):
-        gprobs += c * pair_dots(gbar, mat.src, gammas[t - 1], mat.targets)
-        gbar = c * mat.apply_WT(gbar)
-    return SocialGraphGrads(
-        logits=segment_softmax_vjp(mat.probs, gprobs, mat.indptr))
-
-
-def _pseudo_backward(mat: PseudoTransition, gammas, parts_list, gbar,
-                     t_m: int, c: float) -> PseudoGraphGrads:
-    gui = np.zeros_like(mat.ui_probs)
-    giu = np.zeros_like(mat.iu_probs)
-    guc = np.zeros_like(mat.uc_probs)
-    gcu = np.zeros_like(mat.cu_probs)
-    ga = np.zeros(mat.n, dtype=np.float64)
-    for t in range(t_m, 0, -1):
-        prev = gammas[t - 1]
-        s, tc, mi, mc = parts_list[t - 1]
-        mbar_i = (c * mat.a)[:, None] * gbar
-        mbar_c = (c * (1.0 - mat.a))[:, None] * gbar
-        ga += c * np.einsum("uj,uj->u", gbar, mi - mc)
-        gui += pair_dots(mbar_i, mat.ui_users, s, mat.ui_items)
-        sbar = mat.UI.T @ mbar_i
-        giu += pair_dots(sbar, mat.iu_items, prev, mat.iu_users)
-        tbar = mat.uc_probs.T @ mbar_c
-        guc += mbar_c @ tc.T
-        gcu += tbar @ prev.T
-        gbar = mat.IU.T @ sbar + mat.cu_probs.T @ tbar
-    gmix = mat.a * (1.0 - mat.a) * ga
-    gmix[mat.forced] = 0.0
-    if mat.params.freeze_mix:
-        gmix[:] = 0.0
-    return PseudoGraphGrads(ui_logits=segment_softmax_vjp(mat.ui_probs, gui,
-                                                          mat.ui_indptr),
-                            iu_logits=segment_softmax_vjp(mat.iu_probs, giu,
-                                                          mat.iu_indptr),
-                            uc_logits=row_softmax_vjp(mat.uc_probs, guc),
-                            cu_logits=row_softmax_vjp(mat.cu_probs, gcu),
-                            mix_logits=gmix)
+    return value, mat.backward(gammas, parts_list, gbar, t_m, c)

@@ -11,21 +11,25 @@ gate a_u = sigmoid(mix_logit_u), so
 
 with each phi block row-softmaxed. W is never materialized at scale: the
 social W and the pseudo bridges (user->item UI, item->user IU) are scipy
-CSR matrices, and both families expose apply_W / apply_WT that map a column
-block (n x J) through W or its transpose in O(edges * J).
+CSR matrices. normalize_edges folds the logits into a frozen transition,
+and both families' folds share one interface: apply_W / apply_WT map a
+column block (n x J) through W or its transpose in O(edges * J), backward
+pulls a propagation gradient back to the logits, and step draws one walk
+transition per user. No other module needs to know which family it holds.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
 
 from .corpus import InteractionMatrix, SocialEdges
 from .errors import GuardError, ParseError
-from .factors import sigmoid
+from .factors import pair_dots, sigmoid
 
 GRAPH_MAGIC = b"PROPGRPH"
 GRAPH_VERSION = 1
@@ -111,6 +115,43 @@ class PseudoGraphParams:
         return self.train.m
 
 
+@dataclass
+class SocialGraphGrads:
+    logits: np.ndarray
+
+
+@dataclass
+class PseudoGraphGrads:
+    ui_logits: np.ndarray
+    iu_logits: np.ndarray
+    uc_logits: np.ndarray
+    cu_logits: np.ndarray
+    mix_logits: np.ndarray
+
+
+class _RowSampler:
+    """Inverse-CDF draws from per-group categorical rows of a flat array.
+
+    Group g's probabilities occupy probs[indptr[g]:indptr[g+1]] and sum to 1.
+    The flattened cumulative array offset by the group id is globally
+    nondecreasing, so one global searchsorted serves every group at once.
+    """
+
+    def __init__(self, probs: np.ndarray, indptr: np.ndarray):
+        counts = np.diff(indptr)
+        cs = np.concatenate([[0.0], np.cumsum(probs)])
+        base = cs[indptr[:-1]]
+        group_ids = np.repeat(np.arange(counts.shape[0]), counts)
+        self.flat = cs[1:] - np.repeat(base, counts) + group_ids
+        self.indptr = indptr
+
+    def draw(self, groups: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """One draw per entry of groups; returns flat positions."""
+        target = groups + rng.random(groups.shape[0])
+        idx = np.searchsorted(self.flat, target, side="left")
+        return np.clip(idx, self.indptr[groups], self.indptr[groups + 1] - 1)
+
+
 def build_social_graph(edges: SocialEdges, seed=0,
                        init_scale: float = 0.01) -> SocialGraphParams:
     rng = np.random.default_rng(seed)
@@ -156,11 +197,30 @@ class SocialTransition:
     def apply_W(self, G: np.ndarray) -> np.ndarray:
         return self.W @ G
 
+    def apply_W_parts(self, G: np.ndarray):
+        """W G; the social backward needs no intermediates."""
+        return self.W @ G, None
+
     def apply_WT(self, G: np.ndarray) -> np.ndarray:
         return self.W.T @ G
 
-    def transition_row(self, u: int) -> np.ndarray:
-        return self.W[[u]].toarray()[0]
+    def backward(self, gammas, parts_list, gbar, t_m: int,
+                 c: float) -> SocialGraphGrads:
+        """Logit gradient from the taped propagation and d objective / d gamma."""
+        gprobs = np.zeros_like(self.probs)
+        for t in range(t_m, 0, -1):
+            gprobs += c * pair_dots(gbar, self.src, gammas[t - 1], self.targets)
+            gbar = c * self.apply_WT(gbar)
+        return SocialGraphGrads(
+            logits=segment_softmax_vjp(self.probs, gprobs, self.indptr))
+
+    @cached_property
+    def _sampler(self) -> _RowSampler:
+        return _RowSampler(self.probs, self.indptr)
+
+    def step(self, v: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """One random transition from each user in v."""
+        return self.targets[self._sampler.draw(v, rng)]
 
 
 class PseudoTransition:
@@ -211,14 +271,73 @@ class PseudoTransition:
         t = self.uc_probs.T @ ((1.0 - self.a)[:, None] * G)
         return self.IU.T @ v + self.cu_probs.T @ t
 
-    def transition_row(self, u: int) -> np.ndarray:
-        row = (1.0 - self.a[u]) * (self.uc_probs[u] @ self.cu_probs)
-        row += self.a[u] * (self.UI[[u]] @ self.IU).toarray()[0]
-        return row
+    def backward(self, gammas, parts_list, gbar, t_m: int,
+                 c: float) -> PseudoGraphGrads:
+        """Logit gradient from the taped propagation and d objective / d gamma."""
+        gui = np.zeros_like(self.ui_probs)
+        giu = np.zeros_like(self.iu_probs)
+        guc = np.zeros_like(self.uc_probs)
+        gcu = np.zeros_like(self.cu_probs)
+        ga = np.zeros(self.n, dtype=np.float64)
+        for t in range(t_m, 0, -1):
+            prev = gammas[t - 1]
+            s, tc, mi, mc = parts_list[t - 1]
+            mbar_i = (c * self.a)[:, None] * gbar
+            mbar_c = (c * (1.0 - self.a))[:, None] * gbar
+            ga += c * np.einsum("uj,uj->u", gbar, mi - mc)
+            gui += pair_dots(mbar_i, self.ui_users, s, self.ui_items)
+            sbar = self.UI.T @ mbar_i
+            giu += pair_dots(sbar, self.iu_items, prev, self.iu_users)
+            tbar = self.uc_probs.T @ mbar_c
+            guc += mbar_c @ tc.T
+            gcu += tbar @ prev.T
+            gbar = self.IU.T @ sbar + self.cu_probs.T @ tbar
+        gmix = self.a * (1.0 - self.a) * ga
+        gmix[self.forced] = 0.0
+        if self.params.freeze_mix:
+            gmix[:] = 0.0
+        return PseudoGraphGrads(ui_logits=segment_softmax_vjp(self.ui_probs, gui,
+                                                              self.ui_indptr),
+                                iu_logits=segment_softmax_vjp(self.iu_probs, giu,
+                                                              self.iu_indptr),
+                                uc_logits=row_softmax_vjp(self.uc_probs, guc),
+                                cu_logits=row_softmax_vjp(self.cu_probs, gcu),
+                                mix_logits=gmix)
+
+    @cached_property
+    def _samplers(self) -> tuple[_RowSampler, ...]:
+        """Row samplers for the user->item, item->user, user->community and
+        community->user hops."""
+        return (_RowSampler(self.ui_probs, self.ui_indptr),
+                _RowSampler(self.iu_probs, self.iu_indptr),
+                _RowSampler(self.uc_probs.ravel(), np.arange(self.n + 1) * self.K),
+                _RowSampler(self.cu_probs.ravel(), np.arange(self.K + 1) * self.n))
+
+    def step(self, v: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """One random transition from each user in v: an item hop with
+        probability a_v, else a community hop."""
+        ui, iu, uc, cu = self._samplers
+        item_branch = rng.random(v.shape[0]) < self.a[v]
+        out = np.empty_like(v)
+        vi = v[item_branch]
+        if vi.size:
+            i = self.ui_items[ui.draw(vi, rng)]
+            out[item_branch] = self.iu_users[iu.draw(i, rng)]
+        vc = v[~item_branch]
+        if vc.size:
+            comm = uc.draw(vc, rng) - vc * self.K
+            out[~item_branch] = cu.draw(comm, rng) - comm * self.n
+        return out
 
 
 def normalize_edges(params):
-    """Fold the current logits into a frozen transition object."""
+    """Fold the current logits into a frozen transition object.
+
+    An already-folded transition is returned unchanged, so every function
+    taking a graph accepts either the parameters or their fold.
+    """
+    if isinstance(params, (SocialTransition, PseudoTransition)):
+        return params
     if isinstance(params, SocialGraphParams):
         return SocialTransition(params)
     if isinstance(params, PseudoGraphParams):
@@ -227,12 +346,11 @@ def normalize_edges(params):
 
 
 def dense_transition(graph, max_cells: int = 10_000_000) -> np.ndarray:
-    """Materialize W row by row. Guarded; for oracles and small tests only."""
-    if isinstance(graph, (SocialGraphParams, PseudoGraphParams)):
-        graph = normalize_edges(graph)
+    """Materialize W. Guarded; for oracles and small tests only."""
+    graph = normalize_edges(graph)
     if graph.n * graph.n > max_cells:
         raise GuardError(f"dense transition of {graph.n} users exceeds {max_cells} cells")
-    return np.stack([graph.transition_row(u) for u in range(graph.n)])
+    return graph.apply_W(np.eye(graph.n))
 
 
 def save_graph(path: str, params) -> None:

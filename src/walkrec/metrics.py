@@ -9,8 +9,7 @@ import numpy as np
 from .corpus import InteractionMatrix
 from .errors import EstimatorError
 from .factors import PreferenceFactors, accumulate_pair_gradients
-from .graphnet import (PseudoGraphParams, SocialGraphParams, dense_transition,
-                       normalize_edges)
+from .graphnet import dense_transition, normalize_edges
 from .oracle import dense_gamma_truncated, exact_full_gradient
 from .walker import BASELINE_KINDS, BaselineSampler, SamplerConfig, WalkEngine
 
@@ -134,8 +133,7 @@ def variance_bench(factors: PreferenceFactors, graph, train: InteractionMatrix,
     Raises EstimatorError if a baseline puts zero mass on a pair with
     positive confidence weight.
     """
-    if isinstance(graph, (SocialGraphParams, PseudoGraphParams)):
-        graph = normalize_edges(graph)
+    graph = normalize_edges(graph)
     W = dense_transition(graph)
     Xd = train.to_dense()
     gamma = dense_gamma_truncated(W, Xd, sampler_cfg.c, sampler_cfg.t_m)

@@ -13,8 +13,7 @@ import numpy as np
 from .corpus import InteractionMatrix
 from .errors import GuardError
 from .factors import PreferenceFactors, TAU, sigmoid
-from .graphnet import (PseudoGraphParams, SocialGraphParams, SocialTransition,
-                       normalize_edges)
+from .graphnet import SocialTransition, normalize_edges
 from .walker import SamplerConfig
 
 MAX_ORACLE_USERS = 500
@@ -98,8 +97,7 @@ def walk_sample_user(graph, X: InteractionMatrix, u: int, cfg: SamplerConfig,
     Returns the emitted (u, item, x_ui) triples. The vectorized engine follows
     the same law but consumes the rng stream in a different order.
     """
-    if isinstance(graph, (SocialGraphParams, PseudoGraphParams)):
-        graph = normalize_edges(graph)
+    graph = normalize_edges(graph)
     if not 0 <= u < graph.n:
         raise IndexError(f"user id {u} out of range [0, {graph.n})")
     v = u

@@ -116,23 +116,21 @@ def update_theta_from_batch(factors: PreferenceFactors, batch: SampleBatch,
     return float(np.sum(bern_ll(labels, sig)))
 
 
-def update_phi_step(params, factors: PreferenceFactors, X: InteractionMatrix,
+def update_phi_step(graph, factors: PreferenceFactors, X: InteractionMatrix,
                     items, model: ModelConfig, sampler: SamplerConfig) -> float:
     """Ascend the graph logits on the selected item columns; returns the
-    objective value at the pre-step parameters."""
+    objective value at the pre-step parameters.
+
+    graph is the parameters or their fold; either way the fold's parameters
+    are updated in place, and a fold passed in is stale afterwards.
+    """
+    fold = normalize_edges(graph)
     value, grads = phi_objective_and_backward(
-        params, factors, X, items, sampler.t_m, sampler.c,
+        fold, factors, X, items, sampler.t_m, sampler.c,
         model.eta, model.epsilon)
-    lr = model.lr_phi
-    if isinstance(params, SocialGraphParams):
-        params.logits += lr * grads.logits
-    else:
-        params.ui_logits += lr * grads.ui_logits
-        params.iu_logits += lr * grads.iu_logits
-        params.uc_logits += lr * grads.uc_logits
-        params.cu_logits += lr * grads.cu_logits
-        if not params.freeze_mix:
-            params.mix_logits += lr * grads.mix_logits
+    for name, grad in vars(grads).items():
+        logits = getattr(fold.params, name)
+        logits += model.lr_phi * grad
     return value
 
 
@@ -186,7 +184,8 @@ def init_state(train: InteractionMatrix, config: TrainConfig,
 def _walk_epoch(state: TrainState, train: InteractionMatrix,
                 rng: np.random.Generator) -> dict:
     cfg = state.config
-    engine = WalkEngine(normalize_edges(state.graph), train, cfg.sampler)
+    fold = normalize_edges(state.graph)
+    engine = WalkEngine(fold, train, cfg.sampler)
     batch_size = 0
     theta_ll = 0.0
     for _ in range(cfg.theta_steps):
@@ -196,7 +195,7 @@ def _walk_epoch(state: TrainState, train: InteractionMatrix,
                                             cfg.model.lr_theta,
                                             cfg.model.l2_theta)
     items = _select_phi_items(train.m, cfg.n_si, rng)
-    value = update_phi_step(state.graph, state.factors, train, items,
+    value = update_phi_step(fold, state.factors, train, items,
                             cfg.model, cfg.sampler)
     return {"epoch": state.epoch, "phi_objective": value,
             "batch_size": batch_size, "batch_ll": theta_ll,

@@ -25,8 +25,7 @@ import numpy as np
 
 from .corpus import InteractionMatrix
 from .errors import EstimatorError
-from .graphnet import (PseudoGraphParams, SocialGraphParams, SocialTransition,
-                       normalize_edges)
+from .graphnet import normalize_edges
 
 BASELINE_KINDS = ("allunion", "balunion", "itempop", "cobias")
 
@@ -71,64 +70,15 @@ class SampleBatch:
         return int(self.users.shape[0])
 
 
-class _RowSampler:
-    """Inverse-CDF draws from per-group categorical rows of a flat array.
-
-    Group g's probabilities occupy probs[indptr[g]:indptr[g+1]] and sum to 1.
-    The flattened cumulative array offset by the group id is globally
-    nondecreasing, so one global searchsorted serves every group at once.
-    """
-
-    def __init__(self, probs: np.ndarray, indptr: np.ndarray):
-        counts = np.diff(indptr)
-        cs = np.concatenate([[0.0], np.cumsum(probs)])
-        base = cs[indptr[:-1]]
-        group_ids = np.repeat(np.arange(counts.shape[0]), counts)
-        self.flat = cs[1:] - np.repeat(base, counts) + group_ids
-        self.indptr = indptr
-
-    def draw(self, groups: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """One draw per entry of groups; returns flat positions."""
-        target = groups + rng.random(groups.shape[0])
-        idx = np.searchsorted(self.flat, target, side="left")
-        return np.clip(idx, self.indptr[groups], self.indptr[groups + 1] - 1)
-
-
 class WalkEngine:
     """Vectorized depth-limited walks with positive-item emission."""
 
     def __init__(self, graph, X: InteractionMatrix, cfg: SamplerConfig):
-        if isinstance(graph, (SocialGraphParams, PseudoGraphParams)):
-            graph = normalize_edges(graph)
-        self.mat = graph
+        self.mat = normalize_edges(graph)
         self.X = X
         self.cfg = cfg
-        self.n = graph.n
-        if isinstance(graph, SocialTransition):
-            self._soc = _RowSampler(graph.probs, graph.indptr)
-        else:
-            self._ui = _RowSampler(graph.ui_probs, graph.ui_indptr)
-            self._iu = _RowSampler(graph.iu_probs, graph.iu_indptr)
-            self._uc = _RowSampler(graph.uc_probs.ravel(),
-                                   np.arange(graph.n + 1) * graph.K)
-            self._cu = _RowSampler(graph.cu_probs.ravel(),
-                                   np.arange(graph.K + 1) * graph.n)
+        self.n = self.mat.n
         self.last_transition_steps = 0
-
-    def _step(self, v: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        if isinstance(self.mat, SocialTransition):
-            return self.mat.targets[self._soc.draw(v, rng)]
-        item_branch = rng.random(v.shape[0]) < self.mat.a[v]
-        out = np.empty_like(v)
-        vi = v[item_branch]
-        if vi.size:
-            i = self.mat.ui_items[self._ui.draw(vi, rng)]
-            out[item_branch] = self.mat.iu_users[self._iu.draw(i, rng)]
-        vc = v[~item_branch]
-        if vc.size:
-            comm = self._uc.draw(vc, rng) - vc * self.mat.K
-            out[~item_branch] = self._cu.draw(comm, rng) - comm * self.n
-        return out
 
     def stop_users(self, origins: np.ndarray, rng: np.random.Generator
                    ) -> np.ndarray:
@@ -147,7 +97,7 @@ class WalkEngine:
                 # would exceed the depth cap: jump to a uniform user and stop
                 stops[alive] = rng.integers(0, self.n, size=alive.shape[0])
                 break
-            v = self._step(v, rng)
+            v = self.mat.step(v, rng)
             self.last_transition_steps += int(v.shape[0])
         return stops
 

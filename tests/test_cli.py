@@ -81,6 +81,37 @@ class TestExitCodes:
         assert code == 2
         assert f"social.tsv:{line_no}:" in capsys.readouterr().err
 
+    def test_non_utf8_raw_interactions_is_2(self, tmp_path, capsys):
+        raw, _ = write_raw_dataset(tmp_path)
+        with open(raw, "ab") as fh:
+            fh.write(b"u1\ti\xff\n")
+        with open(raw, "rb") as fh:
+            line_no = fh.read().count(b"\n")
+        code = cli.main(["prepare", "--interactions", raw,
+                         "--out", str(tmp_path / "data")])
+        assert code == 2
+        assert f"raw.tsv:{line_no}:" in capsys.readouterr().err
+
+    def test_non_utf8_social_line_is_2(self, tmp_path, capsys):
+        data = run_prepare(tmp_path)
+        path = os.path.join(data, "social.tsv")
+        with open(path, "ab") as fh:
+            fh.write(b"1\t\xff2\n")
+        with open(path, "rb") as fh:
+            line_no = fh.read().count(b"\n")
+        code = cli.main(["train", "--data", data, "--mode", "samwalker",
+                         "--out", str(tmp_path / "model")] + FAST_TRAIN)
+        assert code == 2
+        assert f"social.tsv:{line_no}:" in capsys.readouterr().err
+
+    def test_unreadable_social_path_is_2(self, tmp_path, capsys):
+        data = run_prepare(tmp_path, with_social=False)
+        os.mkdir(os.path.join(data, "social.tsv"))
+        code = cli.main(["train", "--data", data, "--mode", "samwalker",
+                         "--out", str(tmp_path / "model")] + FAST_TRAIN)
+        assert code == 2
+        assert "social.tsv:0:" in capsys.readouterr().err
+
     def test_guard_is_3(self, tmp_path):
         code = cli.main(["bench", "sampler",
                          "--synth", "n=600,m=600,d=4,groups=2,seed=0",

@@ -87,8 +87,7 @@ class TestSocialTransition:
 
     def test_rows_are_distributions(self):
         params, mat = self.make()
-        for u in range(params.n):
-            row = mat.transition_row(u)
+        for u, row in enumerate(gn.dense_transition(mat)):
             assert row.min() >= 0.0
             assert row.sum() == pytest.approx(1.0, abs=1e-12)
             assert set(np.flatnonzero(row)) == set(params.edges.neighbors(u))
@@ -124,8 +123,7 @@ class TestPseudoTransition:
 
     def test_rows_are_distributions(self):
         train, params, mat = self.make()
-        for u in range(train.n):
-            row = mat.transition_row(u)
+        for row in gn.dense_transition(mat):
             assert row.min() >= -1e-15
             assert row.sum() == pytest.approx(1.0, abs=1e-10)
 
@@ -158,7 +156,7 @@ class TestPseudoTransition:
         train = matrix_from_pairs(3, 2, us, its)
         params = gn.build_pseudo_graph(train, K=2, seed=0)
         mat = gn.normalize_edges(params)
-        row = mat.transition_row(0)
+        row = gn.dense_transition(mat)[0]
         assert row.sum() == pytest.approx(1.0, abs=1e-12)
         a = mat.a
         assert a[0] == 0.0
@@ -177,14 +175,13 @@ class TestPseudoTransition:
 
 
 class TestTransitionRowDispatch:
-    def test_accepts_params_and_bounds(self):
-        edges = random_social(5, 2, seed=9)
-        params = gn.build_social_graph(edges, seed=0)
-        mat = gn.normalize_edges(params)
-        row = mat.transition_row(2)
-        assert row.shape == (5,)
-        with pytest.raises(IndexError):
-            mat.transition_row(5)
+    def test_normalize_edges_returns_a_fold_unchanged(self):
+        social = gn.build_social_graph(random_social(5, 2, seed=9), seed=0)
+        pseudo = gn.build_pseudo_graph(random_matrix(5, 6, 0.4, seed=9), K=2)
+        for params in (social, pseudo):
+            fold = gn.normalize_edges(params)
+            assert gn.normalize_edges(fold) is fold
+            assert fold.params is params
 
     def test_dense_transition_guard(self):
         edges = random_social(5, 2, seed=9)

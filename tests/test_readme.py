@@ -15,3 +15,11 @@ def test_library_example_runs(capsys):
     assert "epochs=2," in code
     exec(compile(code, README, "exec"), {})
     assert "'recall@5'" in capsys.readouterr().out
+
+
+def test_top_level_names_are_the_examples():
+    import walkrec
+    with open(README, encoding="utf-8") as fh:
+        block = re.search(r"from walkrec import \((.*?)\)", fh.read(), flags=re.S)
+    shown = {name.strip() for name in block.group(1).split(",")}
+    assert set(walkrec.__all__) - {"__version__"} == shown

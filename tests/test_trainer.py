@@ -171,6 +171,55 @@ class TestFitModes:
             np.testing.assert_allclose(a[users], want, atol=1e-9)
 
 
+GRAPH_CASES = [("samwalker", "none"), ("samwalker_pp", "none"),
+               ("samwalker_pp", "no_item")]
+
+
+class TestGraphStep:
+    @staticmethod
+    def setup_state(mode, ablation):
+        train = random_matrix(10, 14, 0.3, seed=7)
+        social = random_social(10, 3, seed=7)
+        config = quick_config(mode=mode, ablation=ablation, epochs=1)
+        return train, social, config, trainer.init_state(train, config, social)
+
+    @pytest.mark.parametrize("mode,ablation", GRAPH_CASES)
+    def test_fold_and_params_give_equal_logits(self, mode, ablation):
+        from walkrec.graphnet import normalize_edges
+        train, _, config, a = self.setup_state(mode, ablation)
+        _, _, _, b = self.setup_state(mode, ablation)
+        items = np.arange(train.m)
+        va = trainer.update_phi_step(a.graph, a.factors, train, items,
+                                     config.model, config.sampler)
+        vb = trainer.update_phi_step(normalize_edges(b.graph), b.factors, train,
+                                     items, config.model, config.sampler)
+        assert va == vb
+        for name, arr in vars(a.graph).items():
+            if isinstance(arr, np.ndarray):
+                assert arr.tobytes() == getattr(b.graph, name).tobytes(), name
+
+    @pytest.mark.parametrize("mode", ["samwalker", "samwalker_pp"])
+    def test_one_epoch_folds_once(self, monkeypatch, mode):
+        import sys
+        from walkrec import graphnet
+        real = graphnet.normalize_edges
+        folds = []
+
+        def counting(graph):
+            fold = real(graph)
+            if fold is not graph:
+                folds.append(fold)
+            return fold
+
+        for name, module in list(sys.modules.items()):
+            if (name.startswith("walkrec")
+                    and getattr(module, "normalize_edges", None) is real):
+                monkeypatch.setattr(module, "normalize_edges", counting)
+        train, social, config, _ = self.setup_state(mode, "none")
+        trainer.fit(train, config, social=social)
+        assert len(folds) == 1
+
+
 class TestDeterminismAndResume:
     def test_same_seed_bitwise_equal(self):
         train = random_matrix(10, 13, 0.3, seed=7)

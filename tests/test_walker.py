@@ -6,8 +6,9 @@ import pytest
 from walkrec import walker as wk
 from walkrec.corpus import matrix_from_pairs
 from walkrec.errors import EstimatorError
-from walkrec.graphnet import (build_pseudo_graph, build_social_graph,
-                              dense_transition, normalize_edges)
+from walkrec.graphnet import (_RowSampler, build_pseudo_graph,
+                              build_social_graph, dense_transition,
+                              normalize_edges)
 from walkrec.oracle import (dense_gamma_truncated, dense_stop_distribution,
                             walk_sample_user)
 
@@ -32,7 +33,7 @@ class TestRowSampler:
     def test_singleton_groups_always_hit(self):
         probs = np.array([1.0, 1.0, 1.0])
         indptr = np.array([0, 1, 2, 3])
-        s = wk._RowSampler(probs, indptr)
+        s = _RowSampler(probs, indptr)
         rng = np.random.default_rng(0)
         groups = np.array([2, 0, 1, 2])
         assert s.draw(groups, rng).tolist() == [2, 0, 1, 2]
@@ -40,7 +41,7 @@ class TestRowSampler:
     def test_distribution_matches_probs(self):
         probs = np.array([0.2, 0.8, 0.5, 0.25, 0.25, 1.0])
         indptr = np.array([0, 2, 5, 6])
-        s = wk._RowSampler(probs, indptr)
+        s = _RowSampler(probs, indptr)
         rng = np.random.default_rng(1)
         draws = 40_000
         groups = np.repeat(np.array([0, 1, 2]), draws)
@@ -60,7 +61,7 @@ class TestRowSampler:
             seg = slice(indptr[g], indptr[g + 1])
             if indptr[g + 1] > indptr[g]:
                 norm[seg] /= norm[seg].sum()
-        s = wk._RowSampler(norm, indptr)
+        s = _RowSampler(norm, indptr)
         groups = rng.integers(0, 4, size=5000)
         groups = groups[groups != 1]  # group 1 is empty
         picks = s.draw(groups, rng)
