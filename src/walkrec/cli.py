@@ -49,12 +49,15 @@ TRAIN_DEFAULTS = {
 
 
 def _parse_ks(text: str) -> tuple[int, ...]:
+    """Distinct positive integers from a comma-separated list (cutoffs for
+    --ks, depths for --tm-values)."""
+    bad = f"bad list {text!r}: expected distinct positive integers, comma separated"
     try:
         ks = tuple(int(part) for part in str(text).split(",") if part.strip())
     except ValueError:
-        raise ConfigError(f"bad ks list {text!r}") from None
-    if not ks or min(ks) < 1:
-        raise ConfigError(f"bad ks list {text!r}")
+        raise ConfigError(bad) from None
+    if not ks or min(ks) < 1 or len(set(ks)) != len(ks):
+        raise ConfigError(bad)
     return ks
 
 
@@ -106,6 +109,26 @@ def _build_train_config(settings: dict) -> TrainConfig:
         raise ConfigError(str(e)) from None
 
 
+def _read_manifest(path: str) -> tuple[int, int]:
+    """(n, m) from a prepared directory's manifest.json."""
+    try:
+        with open(path, "rb") as fh:
+            manifest = json.loads(fh.read())
+    except json.JSONDecodeError as e:
+        raise ParseError(path, e.lineno, f"not valid JSON ({e.msg})") from None
+    except UnicodeDecodeError as e:
+        raise ParseError(path, 0, f"not valid JSON ({e.reason})") from None
+    except OSError as e:
+        raise ParseError(path, 0, f"cannot read ({e.strerror})") from None
+    if not isinstance(manifest, dict):
+        raise ConfigError(f"{path}: expected a JSON object")
+    dims = [manifest.get(key) for key in ("n", "m")]
+    if not all(type(v) is int and v >= 1 for v in dims):
+        raise ConfigError(f"{path}: n and m must be positive integers, "
+                          f"got n={dims[0]!r}, m={dims[1]!r}")
+    return dims[0], dims[1]
+
+
 def _load_data_dir(path: str):
     train_path = os.path.join(path, "interactions_train.tsv")
     if not os.path.exists(train_path):
@@ -113,9 +136,7 @@ def _load_data_dir(path: str):
     n = m = None
     manifest_path = os.path.join(path, "manifest.json")
     if os.path.exists(manifest_path):
-        with open(manifest_path, "r", encoding="utf-8") as fh:
-            manifest = json.load(fh)
-        n, m = int(manifest["n"]), int(manifest["m"])
+        n, m = _read_manifest(manifest_path)
     train = corpus.read_pairs(train_path, n=n, m=m)
     test = None
     test_path = os.path.join(path, "interactions_test.tsv")

@@ -54,15 +54,25 @@ def ranked_items(factors: PreferenceFactors, train: InteractionMatrix,
     return order if k is None else order[:k]
 
 
-def _user_ranks(factors: PreferenceFactors, train: InteractionMatrix,
-                u: int, test_items: np.ndarray) -> np.ndarray:
-    """1-based ranks of the test items among non-train candidates."""
-    scores = factors.Q @ factors.P[u].astype(np.float64)
-    scores[train.row(u)] = -np.inf  # sinks below every candidate
-    order = np.argsort(-scores, kind="stable")
-    inv = np.empty(train.m, dtype=np.int64)
-    inv[order] = np.arange(train.m)
-    return inv[test_items] + 1
+def _stable_ranks(neg: np.ndarray, items: np.ndarray) -> np.ndarray:
+    """1-based positions of items in a stable ascending sort of neg.
+
+    Equal values rank by smaller index, as in argsort(kind="stable"), but
+    only neg is sorted: a search counts the strictly smaller values, and an
+    item with equal neighbours adds those at smaller indices.
+    """
+    srt = np.sort(neg)
+    vals = neg[items]
+    lo = srt.searchsorted(vals, "left")
+    ranks = lo + 1
+    tied = (srt.searchsorted(vals, "right") - lo > 1).nonzero()[0]
+    for t in tied.tolist():
+        j = items[t]
+        head = neg[:j]
+        # NaN != NaN, yet the sort keeps NaNs together after +inf
+        same = np.isnan(head) if np.isnan(neg[j]) else head == neg[j]
+        ranks[t] += np.count_nonzero(same)
+    return ranks
 
 
 def _idcg(k: int) -> float:
@@ -77,28 +87,38 @@ def evaluate(factors: PreferenceFactors, train: InteractionMatrix,
     Per user: recall@K and precision@K from the top-K candidate list; NDCG
     over the full candidate ranking, normalized by the ideal placement of all
     of the user's test items; reciprocal ranks summed over the user's test
-    items (so a user holding several easy items can exceed 1).
+    items (so a user holding several easy items can exceed 1). Candidates
+    with equal scores rank by smaller item id.
     """
     ks = tuple(int(k) for k in ks)
     if not ks or min(ks) < 1:
         raise ValueError("ks must be positive")
+    if len(set(ks)) != len(ks):
+        raise ValueError(f"ks repeats a cutoff: {ks}")
+    if (test.n, test.m) != (train.n, train.m):
+        raise ValueError(f"test split is {test.n}x{test.m} but train split "
+                         f"is {train.n}x{train.m}")
     rec = {k: 0.0 for k in ks}
     pre = {k: 0.0 for k in ks}
     ndcg_sum = 0.0
     mrr_sum = 0.0
-    users = 0
-    for u in range(train.n):
+    idcg: dict[int, float] = {}
+    with_test = np.flatnonzero(test.row_counts)
+    for u in with_test.tolist():
         te = test.row(u)
-        if te.shape[0] == 0:
-            continue
-        users += 1
-        ranks = _user_ranks(factors, train, u, te)
+        t = te.shape[0]
+        scores = factors.Q @ np.asarray(factors.P[u], dtype=np.float64)
+        scores[train.row(u)] = -np.inf  # sinks below every candidate
+        ranks = _stable_ranks(-scores, te)
         for k in ks:
-            hits = int(np.sum(ranks <= k))
-            rec[k] += hits / te.shape[0]
+            hits = int((ranks <= k).sum())
+            rec[k] += hits / t
             pre[k] += hits / k
-        ndcg_sum += float(np.sum(1.0 / np.log2(ranks + 1.0))) / _idcg(te.shape[0])
-        mrr_sum += float(np.sum(1.0 / ranks))
+        if t not in idcg:
+            idcg[t] = _idcg(t)
+        ndcg_sum += float((1.0 / np.log2(ranks + 1.0)).sum()) / idcg[t]
+        mrr_sum += float((1.0 / ranks).sum())
+    users = int(with_test.shape[0])
     if users == 0:
         return EvalReport(ks=ks, recall={k: 0.0 for k in ks},
                           precision={k: 0.0 for k in ks}, ndcg=0.0, mrr=0.0,

@@ -73,6 +73,8 @@ class TrainConfig:
             raise ConfigError("eval_every must be >= 0")
         if not self.eval_ks or min(self.eval_ks) < 1:
             raise ConfigError("eval_ks must be positive cutoffs")
+        if len(set(self.eval_ks)) != len(self.eval_ks):
+            raise ConfigError(f"eval_ks repeats a cutoff: {self.eval_ks}")
 
 
 @dataclass

@@ -112,6 +112,31 @@ class TestExitCodes:
         assert code == 2
         assert "social.tsv:0:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("manifest", [b"{bad", b'{"m": 3}', b"[1,2]",
+                                          b'{"n": "30", "m": 40}',
+                                          b'{"n": \xff}', None])
+    def test_malformed_manifest_is_2(self, tmp_path, capsys, manifest):
+        data = run_prepare(tmp_path)
+        path = os.path.join(data, "manifest.json")
+        os.remove(path)
+        if manifest is None:
+            os.mkdir(path)
+        else:
+            with open(path, "wb") as fh:
+                fh.write(manifest)
+        code = cli.main(["train", "--data", data,
+                         "--out", str(tmp_path / "model")] + FAST_TRAIN)
+        assert code == 2
+        assert "manifest.json" in capsys.readouterr().err
+
+    def test_repeated_cutoff_is_2(self, tmp_path):
+        with pytest.raises(cli.ConfigError):
+            cli._parse_ks("5,10,5")
+        data = run_prepare(tmp_path)
+        code = cli.main(["train", "--data", data, "--ks", "5,5",
+                         "--out", str(tmp_path / "model")] + FAST_TRAIN)
+        assert code == 2
+
     def test_guard_is_3(self, tmp_path):
         code = cli.main(["bench", "sampler",
                          "--synth", "n=600,m=600,d=4,groups=2,seed=0",

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from walkrec import metrics
 from walkrec.corpus import matrix_from_pairs
@@ -128,6 +130,149 @@ class TestBruteForceAgreement:
         report = metrics.evaluate(f, train, empty, ks=(2,))
         assert report.users == 0
         assert report.ndcg == 0.0 and report.mrr == 0.0
+
+
+def argsort_report(factors, train, test, ks):
+    """evaluate's report from a full stable argsort per user, with the same
+    per-user arithmetic, so the two must agree bit for bit."""
+    rec = {k: 0.0 for k in ks}
+    pre = {k: 0.0 for k in ks}
+    ndcg_sum = mrr_sum = 0.0
+    users = 0
+    for u in range(train.n):
+        te = test.row(u)
+        if te.shape[0] == 0:
+            continue
+        users += 1
+        scores = factors.Q @ factors.P[u].astype(np.float64)
+        scores[train.row(u)] = -np.inf
+        order = np.argsort(-scores, kind="stable")
+        inv = np.empty(train.m, dtype=np.int64)
+        inv[order] = np.arange(train.m)
+        ranks = inv[te] + 1
+        for k in ks:
+            hits = int(np.sum(ranks <= k))
+            rec[k] += hits / te.shape[0]
+            pre[k] += hits / k
+        idcg = float(np.sum(1.0 / np.log2(np.arange(1, te.shape[0] + 1) + 1.0)))
+        ndcg_sum += float(np.sum(1.0 / np.log2(ranks + 1.0))) / idcg
+        mrr_sum += float(np.sum(1.0 / ranks))
+    if users == 0:
+        return metrics.EvalReport(ks=ks, recall={k: 0.0 for k in ks},
+                                  precision={k: 0.0 for k in ks}, ndcg=0.0,
+                                  mrr=0.0, users=0).as_dict()
+    return metrics.EvalReport(
+        ks=ks, recall={k: rec[k] / users for k in ks},
+        precision={k: pre[k] / users for k in ks}, ndcg=ndcg_sum / users,
+        mrr=mrr_sum / users, users=users).as_dict()
+
+
+def split_matrix(n, m, density, seed):
+    """Disjoint train/test splits with about 30% of positives held out."""
+    rng = np.random.default_rng(seed)
+    pos = rng.random((n, m)) < density
+    held = pos & (rng.random((n, m)) < 0.3)
+    return (matrix_from_pairs(n, m, *np.nonzero(pos & ~held)),
+            matrix_from_pairs(n, m, *np.nonzero(held)))
+
+
+def assert_same_report(f, train, test, ks):
+    got = metrics.evaluate(f, train, test, ks=ks).as_dict()
+    assert got == argsort_report(f, train, test, ks)
+
+
+class TestArgsortAgreement:
+    KS = [(10,), (1, 3, 50), (2, 5)]
+
+    @pytest.mark.parametrize("ks", KS)
+    def test_random_factors(self, ks):
+        train, test = split_matrix(40, 60, 0.3, seed=6)
+        assert_same_report(random_factors(40, 60, 5, seed=6), train, test, ks)
+
+    @pytest.mark.parametrize("ks", KS)
+    @pytest.mark.parametrize("decimals", [0, 1])
+    def test_rounded_factors_with_heavy_ties(self, ks, decimals):
+        train, test = split_matrix(40, 60, 0.3, seed=7)
+        f = random_factors(40, 60, 2, seed=7, scale=2.0)
+        f = PreferenceFactors(P=np.round(f.P, decimals), Q=np.round(f.Q, decimals))
+        assert_same_report(f, train, test, ks)
+
+    @pytest.mark.parametrize("ks", KS)
+    def test_all_equal_scores(self, ks):
+        train, test = split_matrix(20, 30, 0.4, seed=8)
+        f = PreferenceFactors(P=np.ones((20, 3)), Q=np.ones((30, 3)))
+        assert_same_report(f, train, test, ks)
+
+    def test_test_pairs_that_are_train_pairs(self):
+        # every test item sinks to -inf with the train positives and ranks
+        # among them by id
+        train, _ = split_matrix(20, 30, 0.4, seed=9)
+        f = random_factors(20, 30, 3, seed=9)
+        assert_same_report(f, train, train, (3, 10))
+        one = matrix_from_pairs(1, 5, np.array([0, 0]), np.array([1, 3]))
+        f = PreferenceFactors(P=np.array([[1.0]]),
+                              Q=np.array([[4.0], [3.0], [2.0], [1.0], [0.0]]))
+        report = metrics.evaluate(f, one, one, ks=(3, 4))
+        # candidates 0, 2, 4 come first; train items 1 and 3 follow
+        assert report.recall == {3: 0.0, 4: 0.5}
+        assert report.mrr == 1 / 4 + 1 / 5
+
+    def test_user_tied_at_the_cutoff(self):
+        # seven candidates share one score across the K=3 boundary; the
+        # smaller ids take the places
+        f = PreferenceFactors(P=np.array([[1.0]]),
+                              Q=np.array([[9.0]] + [[1.0]] * 7))
+        train = matrix_from_pairs(1, 8, np.array([], dtype=np.int64),
+                                  np.array([], dtype=np.int64))
+        test = matrix_from_pairs(1, 8, np.array([0, 0]), np.array([2, 6]))
+        report = metrics.evaluate(f, train, test, ks=(3, 7))
+        assert report.recall == {3: 0.5, 7: 1.0}
+        assert report.as_dict() == argsort_report(f, train, test, (3, 7))
+
+    def test_cutoffs_past_the_item_count(self):
+        train, test = split_matrix(15, 12, 0.4, seed=10)
+        f = random_factors(15, 12, 3, seed=10)
+        report = metrics.evaluate(f, train, test, ks=(12, 40))
+        assert report.recall == {12: 1.0, 40: 1.0}
+        assert_same_report(f, train, test, (12, 40))
+
+    def test_nan_scores_rank_last_by_id(self):
+        f = PreferenceFactors(P=np.array([[1.0]]),
+                              Q=np.array([[np.nan], [2.0], [np.nan], [np.inf],
+                                          [np.nan]]))
+        train = matrix_from_pairs(1, 5, np.array([0]), np.array([1]))
+        test = matrix_from_pairs(1, 5, np.array([0, 0, 0]), np.array([2, 3, 4]))
+        # item 3 first, then the sunk train item 1, then NaN items 2 and 4
+        got = metrics.evaluate(f, train, test, ks=(1, 4))
+        assert got.recall == {1: 1 / 3, 4: 2 / 3}
+        assert got.as_dict() == argsort_report(f, train, test, (1, 4))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 9), st.integers(1, 3),
+           st.integers(0, 2**32 - 1))
+    def test_small_integer_factors(self, n, m, d, seed):
+        rng = np.random.default_rng(seed)
+        f = PreferenceFactors(P=rng.integers(-2, 3, (n, d)).astype(np.float64),
+                              Q=rng.integers(-2, 3, (m, d)).astype(np.float64))
+        train, test = split_matrix(n, m, rng.uniform(0.2, 0.9), seed)
+        ks = tuple(sorted({int(k) for k in rng.integers(1, m + 3, size=2)}))
+        assert_same_report(f, train, test, ks)
+        assert_same_report(f, train, train, ks)
+
+
+class TestRefusals:
+    def test_repeated_cutoff(self):
+        f, train, test = single_user_setup()
+        with pytest.raises(ValueError, match="repeats"):
+            metrics.evaluate(f, train, test, ks=(5, 5))
+
+    def test_mismatched_splits(self):
+        f, train, _ = single_user_setup()
+        wider = matrix_from_pairs(1, 8, np.array([0]), np.array([7]))
+        taller = matrix_from_pairs(2, 7, np.array([1]), np.array([0]))
+        for test in (wider, taller):
+            with pytest.raises(ValueError, match="1x7"):
+                metrics.evaluate(f, train, test, ks=(5,))
 
 
 class TestReportShape:

@@ -44,6 +44,10 @@ class TestTrainConfig:
         with pytest.raises(ConfigError):
             quick_config(eval_ks=())
 
+    def test_repeated_eval_cutoff(self):
+        with pytest.raises(ConfigError, match="repeats"):
+            quick_config(eval_ks=(5, 10, 5))
+
 
 class TestThetaUpdate:
     def test_single_pair_hand_step(self):
