@@ -289,8 +289,7 @@ def cmd_bench_sampler(args: argparse.Namespace) -> int:
                          f"(got {train.n}x{train.m})")
     graph = _bench_graph(train, social, args)
     n, m = train.n, train.m
-    cfg = SamplerConfig(alpha=max(1, args.draws // n), beta=args.beta,
-                        c=args.c, t_m=args.t_m, seed=args.seed)
+    cfg = _bench_sampler_config(args, alpha=max(1, args.draws // n))
     W = dense_transition(graph)
     gamma = dense_gamma_truncated(W, train.to_dense(), cfg.c, cfg.t_m)
     rng = np.random.default_rng(args.seed)
@@ -333,8 +332,7 @@ def _freq_stats(counts: np.ndarray, expected: np.ndarray, fixed_total: bool):
 def cmd_bench_variance(args: argparse.Namespace) -> int:
     train, _, social = _bench_instance(args)
     graph = _bench_graph(train, social, args)
-    cfg = SamplerConfig(alpha=args.alpha, beta=args.beta, c=args.c,
-                        t_m=args.t_m, seed=args.seed)
+    cfg = _bench_sampler_config(args)
     config = _bench_train_config(args, cfg)
     state = trainer.fit(train, config, social=social)
     result = metrics.variance_bench(state.factors, state.graph, train, cfg,
@@ -344,6 +342,17 @@ def cmd_bench_variance(args: argparse.Namespace) -> int:
             for kind, info in result["samplers"].items()]
     _write_rows(args.out, "sampler,variance,mean_abs_bias", rows)
     return 0
+
+
+def _bench_sampler_config(args, **overrides) -> SamplerConfig:
+    """The sampler settings of a bench subcommand; a bad flag is a ConfigError."""
+    kwargs = dict(alpha=args.alpha, beta=args.beta, c=args.c, t_m=args.t_m,
+                  seed=args.seed)
+    kwargs.update(overrides)
+    try:
+        return SamplerConfig(**kwargs)
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
 
 
 def _bench_train_config(args, cfg: SamplerConfig, **overrides) -> TrainConfig:
@@ -360,8 +369,7 @@ def cmd_bench_tm_sweep(args: argparse.Namespace) -> int:
         raise ConfigError("tm-sweep needs a test split")
     rows = []
     for t_m in _parse_ks(args.tm_values):
-        cfg = SamplerConfig(alpha=args.alpha, beta=args.beta, c=args.c,
-                            t_m=t_m, seed=args.seed)
+        cfg = _bench_sampler_config(args, t_m=t_m)
         config = _bench_train_config(args, cfg)
         state = trainer.fit(train, config, social=social)
         report = metrics.evaluate(state.factors, train, test)
@@ -376,8 +384,7 @@ def cmd_bench_ablation(args: argparse.Namespace) -> int:
     train, test, social = _bench_instance(args)
     if test is None:
         raise ConfigError("ablation bench needs a test split")
-    cfg = SamplerConfig(alpha=args.alpha, beta=args.beta, c=args.c,
-                        t_m=args.t_m, seed=args.seed)
+    cfg = _bench_sampler_config(args)
     rows = []
     for variant in ("none", "no_item", "no_community"):
         config = _bench_train_config(args, cfg, mode="samwalker_pp",

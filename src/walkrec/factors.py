@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -11,7 +12,11 @@ from scipy import sparse
 from .errors import ParseError
 
 TAU = 1e-7
-PAIR_DOT_CELLS = 1 << 20  # gathered cells per operand per pair_dots block
+# Cells per block wherever a long per-pair array is built a block at a time
+# (the gathered operands of pair_dots, the walker's thinning uniforms):
+# 64k float64 cells (512 KB) stay in cache and below the allocator's mmap
+# threshold, so blocks are reused instead of mapped and faulted in afresh.
+PAIR_DOT_CELLS = 1 << 16
 FACTORS_MAGIC = b"PREFFACT"
 FACTORS_VERSION = 1
 
@@ -32,6 +37,10 @@ class ModelConfig:
     l2_theta: float = 1e-4
 
     def __post_init__(self):
+        for name in ("epsilon", "eta", "lr_theta", "lr_phi", "l2_theta"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, "
+                                 f"got {getattr(self, name)!r}")
         if self.d < 1:
             raise ValueError("d must be at least 1")
         if not 0.0 < self.epsilon < 1.0:

@@ -132,10 +132,22 @@ class PseudoGraphGrads:
 class _RowSampler:
     """Inverse-CDF draws from per-group categorical rows of a flat array.
 
-    Group g's probabilities occupy probs[indptr[g]:indptr[g+1]] and sum to 1.
-    The flattened cumulative array offset by the group id is globally
-    nondecreasing, so one global searchsorted serves every group at once.
+    Group g's probabilities occupy probs[indptr[g]:indptr[g+1]] and sum to 1;
+    every group that is drawn from must be non-empty. ``flat`` holds each
+    group's cumulative sums offset by the group id, and a draw of uniform r
+    in group g is the first position of the group with flat >= g + r, or the
+    group's last position if there is none.
+
+    Draws start from a guide table (the cutpoint method: Chen & Asau 1974;
+    Devroye 1986, III.2.4): for a group with d entries, bucket b < d points
+    at the first position whose cumulative sum reaches b/d, so a draw in
+    bucket floor(r * d) is at most a step or two away. Each guided answer
+    is checked against the search it replaces and a draw that cannot be
+    proven falls back to that search, so the result is always exactly
+    clip(searchsorted(flat, g + r), first, last) of the group.
     """
+
+    GUIDED_STEPS = 2  # forward steps from the guide before falling back
 
     def __init__(self, probs: np.ndarray, indptr: np.ndarray):
         counts = np.diff(indptr)
@@ -144,12 +156,55 @@ class _RowSampler:
         group_ids = np.repeat(np.arange(counts.shape[0]), counts)
         self.flat = cs[1:] - np.repeat(base, counts) + group_ids
         self.indptr = indptr
+        self.counts = counts
+        self.finite = bool(np.isfinite(self.flat).all())
+        starts = np.repeat(indptr[:-1], counts)
+        last = np.repeat(indptr[1:] - 1, counts)
+        bucket = (np.arange(self.flat.shape[0]) - starts) / np.repeat(counts, counts)
+        self.guide = np.clip(np.searchsorted(self.flat, group_ids + bucket,
+                                             side="left"), starts, last)
+        # upper is flat with each group's last entry raised to +inf, so a
+        # guided step never leaves its group. Rounding can carry a group's
+        # last cumulative sum past the next group's first, so flat is not
+        # always globally sorted. below[p] is the largest flat value before
+        # p, or -inf at a group's first position; floor[g] is the largest
+        # flat value before group g.
+        self.upper = self.flat.copy()
+        self.upper[indptr[1:][counts > 0] - 1] = np.inf
+        before = np.concatenate([[-np.inf], np.maximum.accumulate(self.flat)])
+        self.below = before[:-1].copy()
+        self.below[indptr[:-1][counts > 0]] = -np.inf
+        self.floor = before[indptr[:-1]]
+
+    def _search(self, groups: np.ndarray, target: np.ndarray) -> np.ndarray:
+        idx = np.searchsorted(self.flat, target, side="left")
+        return np.clip(idx, self.indptr[groups], self.indptr[groups + 1] - 1)
 
     def draw(self, groups: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """One draw per entry of groups; returns flat positions."""
-        target = groups + rng.random(groups.shape[0])
-        idx = np.searchsorted(self.flat, target, side="left")
-        return np.clip(idx, self.indptr[groups], self.indptr[groups + 1] - 1)
+        r = rng.random(groups.shape[0])
+        target = groups + r
+        if not self.finite:
+            return self._search(groups, target)
+        d = self.counts[groups]
+        bucket = np.minimum((r * d).astype(np.int64), d - 1)
+        idx = self.guide[self.indptr[groups] + bucket]
+        for _ in range(self.GUIDED_STEPS):
+            idx += self.upper[idx] < target
+        # idx is the search's answer if it reaches the target (or is its
+        # group's last position) and nothing before it does: flat is sorted
+        # within a group and every later group starts at or above g + 1,
+        # which no target g + r exceeds.
+        miss = np.flatnonzero((self.upper[idx] < target) | (self.below[idx] >= target))
+        if miss.size:
+            # Where an earlier group's sum rounded past the target, the
+            # search is not unique: which crossing it finds depends on the
+            # keys searched before, so only the search over the whole batch
+            # reproduces it.
+            if (target[miss] <= self.floor[groups[miss]]).any():
+                return self._search(groups, target)
+            idx[miss] = self._search(groups[miss], target[miss])
+        return idx
 
 
 def build_social_graph(edges: SocialEdges, seed=0,

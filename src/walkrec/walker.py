@@ -19,10 +19,12 @@ weighting can correct them back to the same target.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import factors
 from .corpus import InteractionMatrix
 from .errors import EstimatorError
 from .graphnet import normalize_edges
@@ -39,6 +41,10 @@ class SamplerConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("beta", "c"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, "
+                                 f"got {getattr(self, name)!r}")
         if self.alpha < 1:
             raise ValueError("alpha must be at least 1")
         if self.beta < 1:
@@ -108,12 +114,19 @@ class WalkEngine:
         Walk w's candidates are its stop user's positives, laid end to end
         walk after walk; one uniform draw per candidate decides which are
         kept, and only the kept positions are mapped back to a walk and an
-        offset into its stop user's row.
+        offset into its stop user's row. The uniforms are drawn
+        factors.PAIR_DOT_CELLS at a time, the same stream as one draw of
+        all of them, so memory follows the block and the kept pairs, not
+        the candidate count.
         """
         counts = self.X.row_counts[stops]
         ends = np.cumsum(counts)
         total = int(ends[-1]) if ends.size else 0
-        keep = np.flatnonzero(rng.random(total) < 1.0 / self.cfg.beta)
+        block = factors.PAIR_DOT_CELLS
+        keep = [lo + np.flatnonzero(rng.random(min(block, total - lo))
+                                    < 1.0 / self.cfg.beta)
+                for lo in range(0, total, block)]
+        keep = np.concatenate(keep) if keep else np.zeros(0, dtype=np.int64)
         walk = np.searchsorted(ends, keep, side="right")
         offset = keep - (ends[walk] - counts[walk])
         users = origins[walk]

@@ -137,6 +137,29 @@ class TestExitCodes:
                          "--out", str(tmp_path / "model")] + FAST_TRAIN)
         assert code == 2
 
+    @pytest.mark.parametrize("flag", ["--beta", "--c", "--eta", "--epsilon",
+                                      "--lr-theta", "--lr-phi", "--l2-theta"])
+    def test_non_finite_hyperparameter_is_2(self, tmp_path, capsys, flag):
+        data = run_prepare(tmp_path)
+        field = flag[2:].replace("-", "_")
+        for value in ("nan", "inf"):
+            code = cli.main(["train", "--data", data,
+                             "--out", str(tmp_path / "model")]
+                            + FAST_TRAIN + [flag, value])
+            assert code == 2
+            assert f"{field} must be finite" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "model")
+
+    @pytest.mark.parametrize("command", ["sampler", "variance", "tm-sweep",
+                                         "ablation"])
+    def test_bench_non_finite_sampler_flag_is_2(self, capsys, command):
+        for flag in ("--beta", "--c"):
+            code = cli.main(["bench", command,
+                             "--synth", "n=20,m=30,d=4,groups=2,seed=1",
+                             "--epochs", "1", flag, "nan"])
+            assert code == 2
+            assert f"{flag[2:]} must be finite" in capsys.readouterr().err
+
     def test_guard_is_3(self, tmp_path):
         code = cli.main(["bench", "sampler",
                          "--synth", "n=600,m=600,d=4,groups=2,seed=0",

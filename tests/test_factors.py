@@ -222,3 +222,10 @@ class TestModelConfig:
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             fa.ModelConfig(**kwargs)
+
+    @pytest.mark.parametrize("field", ["epsilon", "eta", "lr_theta", "lr_phi",
+                                       "l2_theta"])
+    def test_rejects_non_finite(self, field):
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"{field} must be finite"):
+                fa.ModelConfig(**{field: value})

@@ -1,8 +1,14 @@
 """Walk engine, baseline samplers, and their exact laws."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from walkrec import factors as fa
 from walkrec import walker as wk
 from walkrec.corpus import matrix_from_pairs
 from walkrec.errors import EstimatorError
@@ -27,6 +33,53 @@ class TestSamplerConfig:
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             wk.SamplerConfig(**kwargs)
+
+    @pytest.mark.parametrize("field", ["beta", "c"])
+    def test_rejects_non_finite(self, field):
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"{field} must be finite"):
+                wk.SamplerConfig(**{field: value})
+
+
+def searchsorted_draw(sampler, groups, rng):
+    """The row draw as one global search, the definition guided draws match."""
+    target = groups + rng.random(groups.shape[0])
+    idx = np.searchsorted(sampler.flat, target, side="left")
+    return np.clip(idx, sampler.indptr[groups], sampler.indptr[groups + 1] - 1)
+
+
+class StubRng:
+    """Hands out fixed uniforms, cycling, in place of a Generator."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=np.float64)
+        self.pos = 0
+
+    def random(self, size):
+        idx = (self.pos + np.arange(size)) % self.values.shape[0]
+        self.pos += size
+        return self.values[idx]
+
+
+def normalized_rows(rows):
+    probs = np.concatenate([np.asarray(r, dtype=np.float64) / np.sum(r)
+                            for r in rows])
+    indptr = np.concatenate([[0], np.cumsum([len(r) for r in rows])])
+    return probs, indptr
+
+
+def assert_matches_search(probs, indptr, groups, uniforms=None, seed=0):
+    def rng():
+        return np.random.default_rng(seed) if uniforms is None else StubRng(uniforms)
+
+    s = _RowSampler(probs, indptr)
+    got = s.draw(groups, rng())
+    np.testing.assert_array_equal(got, searchsorted_draw(s, groups, rng()))
+    return got
+
+
+EDGE_UNIFORMS = [0.0, 2.0 ** -53, 2.0 ** -52, 1e-300, 0.5, 1 - 2.0 ** -52,
+                 1 - 2.0 ** -53]
 
 
 class TestRowSampler:
@@ -67,6 +120,129 @@ class TestRowSampler:
         picks = s.draw(groups, rng)
         assert np.all(picks >= indptr[groups])
         assert np.all(picks < indptr[groups + 1])
+
+
+    def test_random_rows_match_search(self):
+        rng = np.random.default_rng(30)
+        rows = [rng.random(int(k)) for k in rng.integers(1, 40, size=200)]
+        probs, indptr = normalized_rows(rows)
+        groups = rng.integers(0, len(rows), size=50_000)
+        assert_matches_search(probs, indptr, groups, seed=31)
+        assert_matches_search(probs, indptr, groups, uniforms=EDGE_UNIFORMS)
+
+    def test_skewed_rows_match_search(self):
+        # one entry of at least 0.999, the rest decaying geometrically, so
+        # most of a row crowds into one guide bucket
+        rows = []
+        for k in (2, 5, 30, 200):
+            tail = 1e-3 * 0.5 ** np.arange(k - 1)
+            rows.append(np.concatenate([[1.0], tail]))
+            rows.append(np.concatenate([tail[::-1], [1.0]]))
+        probs, indptr = normalized_rows(rows)
+        assert probs.max() >= 0.999
+        groups = np.random.default_rng(32).integers(0, len(rows), size=50_000)
+        assert_matches_search(probs, indptr, groups, seed=33)
+        assert_matches_search(probs, indptr, groups, uniforms=EDGE_UNIFORMS)
+
+    def test_zero_probability_entries_never_drawn(self):
+        rows = [[0.0, 0.0, 1.0], [0.5, 0.0, 0.0, 0.5, 0.0], [0.0, 1.0, 0.0],
+                [1.0, 0.0], [0.0, 0.0, 0.0, 0.3, 0.7]]
+        probs, indptr = normalized_rows(rows)
+        groups = np.random.default_rng(34).integers(0, len(rows), size=20_000)
+        picks = assert_matches_search(probs, indptr, groups, seed=35)
+        assert np.all(probs[picks] > 0)
+        assert_matches_search(probs, indptr, groups, uniforms=EDGE_UNIFORMS)
+
+    def test_singleton_rows_match_search(self):
+        probs, indptr = normalized_rows([[1.0]] * 5 + [[0.5, 0.5]] + [[1.0]])
+        groups = np.random.default_rng(36).integers(0, 7, size=5_000)
+        assert_matches_search(probs, indptr, groups, seed=37)
+        assert_matches_search(probs, indptr, groups, uniforms=EDGE_UNIFORMS)
+
+    def test_empty_rows_that_are_never_drawn(self):
+        rows = [[0.2, 0.8], [], [], [1.0], [], [0.3, 0.3, 0.4], []]
+        probs = np.concatenate([np.asarray(r, dtype=np.float64) for r in rows])
+        indptr = np.concatenate([[0], np.cumsum([len(r) for r in rows])])
+        groups = np.random.default_rng(38).choice([0, 3, 5], size=5_000)
+        picks = assert_matches_search(probs, indptr, groups, seed=39)
+        assert np.all(picks >= indptr[groups])
+        assert np.all(picks < indptr[groups + 1])
+        assert_matches_search(probs, indptr, groups, uniforms=EDGE_UNIFORMS)
+
+    def test_rows_whose_sum_rounds_past_one(self):
+        # row 0 sums to 1 + 2^-52, so its last offset sum rounds past the
+        # first entry of row 1 and flat is not globally sorted there; row 1's
+        # target 1 + 2^-52 (r = 2^-52) lands in that overlap, where which
+        # crossing the search finds depends on the keys searched before
+        ulp = 2.0 ** -52
+        probs = np.array([0.5, 0.5 + ulp, 0.0, 0.25, 0.75, 0.0, 1.0 + ulp])
+        indptr = np.array([0, 2, 5, 7])
+        s = _RowSampler(probs, indptr)
+        assert np.any(np.diff(s.flat) < 0)
+        groups = np.repeat(np.arange(3), 400)
+        uniforms = EDGE_UNIFORMS + [ulp / 2, ulp, 2 * ulp, 0.25, 0.25 + ulp]
+        for order in range(3):
+            shuffled = np.random.default_rng(order).permutation(groups)
+            assert_matches_search(probs, indptr, shuffled, uniforms=uniforms)
+        # many random rows normalized in floating point; a good share of
+        # them sum past 1, some below
+        rng = np.random.default_rng(40)
+        rows = [rng.random(int(k)) for k in rng.integers(2, 12, size=500)]
+        probs, indptr = normalized_rows(rows)
+        sums = np.add.reduceat(probs, indptr[:-1])
+        assert (sums > 1.0).any() and (sums < 1.0).any()
+        groups = rng.integers(0, len(rows), size=50_000)
+        assert_matches_search(probs, indptr, groups, seed=41)
+        assert_matches_search(probs, indptr, groups, uniforms=EDGE_UNIFORMS)
+
+    def test_extreme_uniforms_pick_first_and_last(self):
+        probs, indptr = normalized_rows([[0.25, 0.5, 0.25], [0.1, 0.9]])
+        groups = np.array([0, 1, 0, 1])
+        s = _RowSampler(probs, indptr)
+        assert s.draw(groups, StubRng([0.0])).tolist() == [0, 3, 0, 3]
+        top = 1 - 2.0 ** -53
+        assert s.draw(groups, StubRng([top])).tolist() == [2, 4, 2, 4]
+        assert_matches_search(probs, indptr, groups, uniforms=[0.0, top])
+
+    def test_non_finite_rows_fall_back_to_search(self):
+        probs = np.array([0.5, np.nan, 0.2, 0.8])
+        indptr = np.array([0, 2, 4])
+        groups = np.random.default_rng(42).integers(0, 2, size=1_000)
+        assert_matches_search(probs, indptr, groups, seed=43)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8)
+                    .filter(lambda row: sum(row) > 0), min_size=1, max_size=6),
+           st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1,
+                    max_size=16),
+           st.integers(0, 2 ** 32 - 1))
+    def test_property_matches_search(self, rows, uniforms, seed):
+        probs, indptr = normalized_rows(rows)
+        groups = np.random.default_rng(seed).integers(0, len(rows), size=64)
+        assert_matches_search(probs, indptr, groups, uniforms=uniforms)
+
+
+class TestGuidedWalks:
+    @pytest.mark.parametrize("mode", ["social", "pseudo"])
+    def test_stop_users_match_search_stepping(self, mode, monkeypatch):
+        train = random_matrix(60, 80, 0.1, seed=44)
+        if mode == "social":
+            params = build_social_graph(random_social(60, 6, seed=44), seed=44,
+                                        init_scale=3.0)
+        else:
+            params = build_pseudo_graph(train, K=5, seed=44, init_scale=3.0)
+            params.mix_logits = np.random.default_rng(45).normal(size=60)
+        fold = normalize_edges(params)
+        cfg = wk.SamplerConfig(alpha=200, beta=2.0, c=0.9, t_m=5, seed=0)
+        origins = np.repeat(np.arange(60, dtype=np.int64), cfg.alpha)
+        guided = wk.WalkEngine(fold, train, cfg)
+        stops = guided.stop_users(origins, np.random.default_rng(46))
+        monkeypatch.setattr(_RowSampler, "draw", searchsorted_draw)
+        searched = wk.WalkEngine(fold, train, cfg)
+        want = searched.stop_users(origins, np.random.default_rng(46))
+        np.testing.assert_array_equal(stops, want)
+        assert guided.last_transition_steps == searched.last_transition_steps
+        assert guided.last_transition_steps > 10 * train.n
 
 
 class TestAliasTable:
@@ -183,24 +359,67 @@ class TestWalkEngineEmission:
                                       train.labels(batch.users, batch.items))
         assert batch.size == batch.users.shape[0]
 
-    @pytest.mark.parametrize("beta", [1.0, 3.0])
-    def test_emit_matches_per_walk_reference(self, beta):
+    @staticmethod
+    def emit_case(beta):
         train, social, _ = make_graphs(seed=21)
         cfg = wk.SamplerConfig(alpha=30, beta=beta, c=0.7, t_m=2, seed=0)
         engine = wk.WalkEngine(social, train, cfg)
         origins = np.repeat(np.arange(train.n, dtype=np.int64), cfg.alpha)
         stops = engine.stop_users(origins, np.random.default_rng(22))
-        users, items, labels = engine.emit(origins, stops,
-                                           np.random.default_rng(23))
-        # the reference consumes one draw per candidate, walk by walk
+        # the reference consumes one draw per candidate, walk by walk, all
+        # drawn at once
         draws = iter(np.random.default_rng(23).random(
             int(train.row_counts[stops].sum())))
         ref = [(int(u), int(i)) for u, v in zip(origins, stops)
                for i in train.row(int(v)) if next(draws) < 1.0 / beta]
+        return train, engine, origins, stops, ref
+
+    @pytest.mark.parametrize("beta", [1.0, 3.0])
+    def test_emit_matches_per_walk_reference(self, beta):
+        train, engine, origins, stops, ref = self.emit_case(beta)
+        users, items, labels = engine.emit(origins, stops,
+                                           np.random.default_rng(23))
         assert list(zip(users.tolist(), items.tolist())) == ref
         assert users.dtype == origins.dtype
         assert items.dtype == train.row_items.dtype
         np.testing.assert_array_equal(labels, train.labels(users, items))
+
+    @pytest.mark.parametrize("beta", [1.0, 3.0])
+    @pytest.mark.parametrize("block", [1, 7, 10 ** 9])
+    def test_emit_block_size_does_not_change_the_batch(self, beta, block,
+                                                       monkeypatch):
+        train, engine, origins, stops, ref = self.emit_case(beta)
+        assert 7 < train.row_counts[stops].sum() < 10 ** 9
+        monkeypatch.setattr(fa, "PAIR_DOT_CELLS", block)
+        users, items, labels = engine.emit(origins, stops,
+                                           np.random.default_rng(23))
+        assert list(zip(users.tolist(), items.tolist())) == ref
+        np.testing.assert_array_equal(labels, train.labels(users, items))
+
+    def test_emit_memory_follows_the_block_not_the_candidates(self,
+                                                              monkeypatch):
+        # one stop user with every item: 400 walks give 800k candidates,
+        # 6.4 MB of uniforms if drawn at once, and about 800 kept pairs
+        monkeypatch.setattr(fa, "PAIR_DOT_CELLS", 1 << 12)
+        m = 2000
+        train = matrix_from_pairs(2, m, np.zeros(m, dtype=np.int64),
+                                  np.arange(m, dtype=np.int64))
+        social = build_social_graph(random_social(2, 1, seed=0))
+        cfg = wk.SamplerConfig(alpha=1, beta=1000.0, c=0.5, t_m=1, seed=0)
+        engine = wk.WalkEngine(social, train, cfg)
+        origins = np.ones(400, dtype=np.int64)
+        stops = np.zeros(400, dtype=np.int64)
+        engine.emit(origins, stops, np.random.default_rng(47))  # warm up
+        tracemalloc.start()
+        try:
+            users, _, _ = engine.emit(origins, stops, np.random.default_rng(47))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        total = 400 * m
+        assert 0 < users.size < total / 500
+        block_bytes = 9 * fa.PAIR_DOT_CELLS  # the uniforms and their mask
+        assert peak < 2 * block_bytes + 64 * users.size + 64 * 400
 
     def test_emit_without_candidates(self):
         train, social, _ = make_graphs(seed=24)
