@@ -268,7 +268,10 @@ def _bench_graph(train, social, args: argparse.Namespace):
         if social is None:
             raise ConfigError("samwalker bench needs social edges")
         return build_social_graph(social, seed=args.seed)
-    return build_pseudo_graph(train, K=args.k, seed=args.seed)
+    try:
+        return build_pseudo_graph(train, K=args.k, seed=args.seed)
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
 
 
 def _write_rows(path: str | None, header: str, rows) -> None:
@@ -356,9 +359,14 @@ def _bench_sampler_config(args, **overrides) -> SamplerConfig:
 
 
 def _bench_train_config(args, cfg: SamplerConfig, **overrides) -> TrainConfig:
+    """The training settings of a bench subcommand; a bad flag is a ConfigError."""
+    try:
+        model = ModelConfig(d=args.d)
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
     kwargs = dict(mode=getattr(args, "mode", "samwalker_pp"),
                   epochs=args.epochs, K=args.k, seed=args.seed,
-                  model=ModelConfig(d=args.d), sampler=cfg)
+                  model=model, sampler=cfg)
     kwargs.update(overrides)
     return TrainConfig(**kwargs)
 

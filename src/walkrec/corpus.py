@@ -222,6 +222,19 @@ def load_social(path: str, user_map: dict[str, int], fmt: str | None = None) -> 
     return pairs
 
 
+def _sorted_unique(keys: np.ndarray) -> np.ndarray:
+    """np.unique(keys) for a 1-D array, by sorting and dropping repeats.
+
+    np.unique may take a hash-based path for integers (numpy 2.4 does for
+    int64) that is far slower than a sort at these sizes; this returns the
+    same sorted array on any numpy version.
+    """
+    keys = np.sort(keys)
+    if keys.size:
+        keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+    return keys
+
+
 def matrix_from_pairs(n: int, m: int, users, items) -> InteractionMatrix:
     """Build an InteractionMatrix from parallel user/item arrays (deduped)."""
     users = np.asarray(users, dtype=np.int64)
@@ -231,7 +244,7 @@ def matrix_from_pairs(n: int, m: int, users, items) -> InteractionMatrix:
             raise ValueError("user id out of range")
         if items.min() < 0 or items.max() >= m:
             raise ValueError("item id out of range")
-    keys = np.unique(users * np.int64(m) + items)
+    keys = _sorted_unique(users * np.int64(m) + items)
     u = keys // m
     i = keys % m
     row_indptr = np.zeros(n + 1, dtype=np.int64)
@@ -260,7 +273,7 @@ def social_edges(n: int, pairs, symmetrize: bool = False) -> SocialEdges:
     if symmetrize and arr.size:
         arr = np.concatenate([arr, arr[:, ::-1]], axis=0)
     arr = arr[arr[:, 0] != arr[:, 1]]
-    keys = np.unique(arr[:, 0] * np.int64(n) + arr[:, 1])
+    keys = _sorted_unique(arr[:, 0] * np.int64(n) + arr[:, 1])
     src = keys // n
     tgt = keys % n
     out_deg = np.bincount(src, minlength=n)
@@ -314,7 +327,7 @@ def binarize_and_filter(interactions, min_item_count: int = 3,
         raise EmptyDatasetError("no interactions to filter")
     n0 = int(users.max()) + 1
     m0 = int(items.max()) + 1
-    keys = np.unique(users * np.int64(m0) + items)
+    keys = _sorted_unique(users * np.int64(m0) + items)
     u = keys // m0
     i = keys % m0
     while True:
@@ -326,8 +339,8 @@ def binarize_and_filter(interactions, min_item_count: int = 3,
         u, i = u[keep], i[keep]
         if u.size == 0:
             raise EmptyDatasetError("all interactions removed by item-count filter")
-    user_index = np.unique(u)
-    item_index = np.unique(i)
+    user_index = _sorted_unique(u)
+    item_index = _sorted_unique(i)
     matrix = matrix_from_pairs(
         user_index.shape[0], item_index.shape[0],
         inverse_index(user_index, n0)[u], inverse_index(item_index, m0)[i])

@@ -72,18 +72,23 @@ class PreferenceFactors:
 
 
 def sigmoid(z):
-    """Numerically stable logistic function."""
+    """Numerically stable logistic function.
+
+    1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z) otherwise, both with
+    e = exp(-|z|), computed without splitting the array by sign.
+    """
     z = np.asarray(z, dtype=np.float64)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
+    # minimum(z, -z) is -|z|, but passes a NaN through with its own bits
+    e = np.exp(np.minimum(z, -z))
+    out = np.where(z >= 0, 1.0, e)
+    e += 1.0
+    out /= e
     return out
 
 
 def clamped_sigmoid(z):
-    return np.clip(sigmoid(z), TAU, 1.0 - TAU)
+    out = sigmoid(z)
+    return np.clip(out, TAU, 1.0 - TAU, out=out)
 
 
 def init_factors(n: int, m: int, d: int, seed=0, scale: float = 0.1

@@ -100,6 +100,10 @@ def update_theta_from_batch(factors: PreferenceFactors, batch: SampleBatch,
     batch's summed log likelihood at the pre-step factors, from the same
     predictions the gradient uses. An empty batch logs a warning, changes
     nothing and returns 0.
+
+    Labels are 0 or 1, so the log likelihood takes one log per pair: the
+    term bern_ll multiplies by zero is exactly zero, and the sum over the
+    same per-pair terms in the same order is bit-equal to bern_ll's.
     """
     if batch.size == 0:
         _logger.warning("empty sample batch; theta update skipped")
@@ -115,7 +119,9 @@ def update_theta_from_batch(factors: PreferenceFactors, batch: SampleBatch,
         dQ -= l2 * ci * factors.Q
     factors.P += lr * dP
     factors.Q += lr * dQ
-    return float(np.sum(bern_ll(labels, sig)))
+    ll = np.log1p(-sig)
+    np.log(sig, out=ll, where=batch.labels.astype(bool))
+    return float(np.sum(ll))
 
 
 def update_phi_step(graph, factors: PreferenceFactors, X: InteractionMatrix,
@@ -297,13 +303,29 @@ def save_state(out_dir: str, state: TrainState) -> None:
 
 def load_state(out_dir: str, config: TrainConfig, train: InteractionMatrix,
                social: SocialEdges | None = None) -> TrainState:
-    """Rebuild a TrainState from save_state output plus the data topology."""
+    """Rebuild a TrainState from save_state output plus the data topology.
+
+    The checkpoint's mode, seed, ablation, factor width d and (for
+    samwalker_pp) K must match config; a mismatch is a ConfigError naming
+    the field, since the resumed run would neither replay the checkpointed
+    one nor be recorded truthfully.
+    """
     with open(os.path.join(out_dir, "state.json"), "r", encoding="utf-8") as fh:
         meta = json.load(fh)
     if meta["mode"] != config.mode:
         raise ConfigError(
             f"checkpoint mode {meta['mode']!r} does not match {config.mode!r}")
     factors = load_factors(os.path.join(out_dir, "factors.bin"))
+    pairs = {"seed": (meta["seed"], config.seed),
+             "ablation": (meta["ablation"], config.ablation),
+             "d": (factors.d, config.model.d)}
+    if config.mode == "samwalker_pp":
+        pairs["K"] = (meta["K"], config.K)
+    for name, (saved, wanted) in pairs.items():
+        if saved != wanted:
+            raise ConfigError(
+                f"{out_dir}: checkpoint {name} {saved!r} does not match "
+                f"{wanted!r}; resume with the checkpoint's settings")
     graph = None
     if config.mode != "exmf_dense":
         graph = load_graph(os.path.join(out_dir, "graph.bin"),

@@ -76,6 +76,41 @@ class SampleBatch:
         return int(self.users.shape[0])
 
 
+class _OriginLabeler:
+    """x_ui for pairs whose users are non-decreasing, by table lookup.
+
+    Pairs are cut into spans of at most max(1, 8 * PAIR_DOT_CELLS // m)
+    consecutive user ids; a span's rows are scattered into a dense uint8
+    table (at most 8 * PAIR_DOT_CELLS bytes, 512 KB, or one row of m
+    bytes), its pairs gathered from it, and the same cells cleared for the
+    next span. Pairs whose users are out of order are labeled by
+    InteractionMatrix.labels.
+    """
+
+    def __init__(self, X: InteractionMatrix):
+        self.X = X
+        self.span = max(1, 8 * factors.PAIR_DOT_CELLS // max(1, X.m))
+        self.table = np.zeros(min(self.span, X.n) * X.m, dtype=np.uint8)
+
+    def __call__(self, users: np.ndarray, items: np.ndarray) -> np.ndarray:
+        X, m = self.X, self.X.m
+        if (users[1:] < users[:-1]).any():
+            return X.labels(users, items)
+        users = np.asarray(users, dtype=np.int64)
+        out = np.empty(users.shape[0], dtype=np.uint8)
+        lo = 0
+        while lo < users.shape[0]:
+            u0 = users[lo]
+            hi = lo + int(np.searchsorted(users[lo:], u0 + self.span))
+            a, b = X.row_indptr[u0], X.row_indptr[users[hi - 1] + 1]
+            cells = (X.row_users[a:b] - u0) * m + X.row_items[a:b]
+            self.table[cells] = 1
+            out[lo:hi] = self.table[(users[lo:hi] - u0) * m + items[lo:hi]]
+            self.table[cells] = 0
+            lo = hi
+        return out
+
+
 class WalkEngine:
     """Vectorized depth-limited walks with positive-item emission."""
 
@@ -113,25 +148,36 @@ class WalkEngine:
 
         Walk w's candidates are its stop user's positives, laid end to end
         walk after walk; one uniform draw per candidate decides which are
-        kept, and only the kept positions are mapped back to a walk and an
-        offset into its stop user's row. The uniforms are drawn
-        factors.PAIR_DOT_CELLS at a time, the same stream as one draw of
-        all of them, so memory follows the block and the kept pairs, not
-        the candidate count.
+        kept. The uniforms are drawn factors.PAIR_DOT_CELLS at a time, the
+        same stream as one draw of all of them, and each block's kept
+        positions are turned into pairs before the next block is drawn, so
+        memory follows the block and the kept pairs, not the candidate
+        count. A block labels each of its candidates with its walk, by
+        repeating the ids of the walks that overlap it, instead of
+        searching for the walk of each kept position.
         """
-        counts = self.X.row_counts[stops]
+        X = self.X
+        counts = X.row_counts[stops]
         ends = np.cumsum(counts)
+        starts = ends - counts
         total = int(ends[-1]) if ends.size else 0
+        # candidate position p of walk w sits at row_items[base[w] + p]
+        base = X.row_indptr[stops] - starts
+        labeler = _OriginLabeler(X)
         block = factors.PAIR_DOT_CELLS
-        keep = [lo + np.flatnonzero(rng.random(min(block, total - lo))
-                                    < 1.0 / self.cfg.beta)
-                for lo in range(0, total, block)]
-        keep = np.concatenate(keep) if keep else np.zeros(0, dtype=np.int64)
-        walk = np.searchsorted(ends, keep, side="right")
-        offset = keep - (ends[walk] - counts[walk])
-        users = origins[walk]
-        items = self.X.row_items[self.X.row_indptr[stops[walk]] + offset]
-        return users, items, self.X.labels(users, items)
+        parts = [(origins[:0], X.row_items[:0], np.zeros(0, dtype=np.uint8))]
+        for lo in range(0, total, block):
+            hi = min(lo + block, total)
+            keep = np.flatnonzero(rng.random(hi - lo) < 1.0 / self.cfg.beta)
+            w0 = int(np.searchsorted(ends, lo, side="right"))
+            w1 = int(np.searchsorted(starts, hi, side="left"))
+            # each overlapping walk's candidates inside [lo, hi)
+            clipped = np.minimum(ends[w0:w1], hi) - np.maximum(starts[w0:w1], lo)
+            walk = np.repeat(np.arange(w0, w1), clipped)[keep]
+            users = origins[walk]
+            items = X.row_items[base[walk] + (keep + lo)]
+            parts.append((users, items, labeler(users, items)))
+        return tuple(np.concatenate(a) for a in zip(*parts))
 
     def sample_batch(self, rng: np.random.Generator | None = None) -> SampleBatch:
         """alpha walks per user, all emissions concatenated."""

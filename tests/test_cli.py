@@ -160,6 +160,23 @@ class TestExitCodes:
             assert code == 2
             assert f"{flag[2:]} must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,flag,message", [
+        ("variance", "--d", "d must be at least 1"),
+        ("tm-sweep", "--d", "d must be at least 1"),
+        ("ablation", "--d", "d must be at least 1"),
+        ("variance", "--k", "K must be at least 1"),
+        ("sampler", "--k", "K must be at least 1"),
+        ("tm-sweep", "--k", "K must be at least 1"),
+        ("ablation", "--k", "K must be at least 1"),
+    ])
+    def test_bench_zero_width_is_2(self, capsys, command, flag, message):
+        code = cli.main(["bench", command,
+                         "--synth", "n=20,m=30,d=4,groups=2,seed=1",
+                         "--epochs", "1", flag, "0"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert message in err and "internal error" not in err
+
     def test_guard_is_3(self, tmp_path):
         code = cli.main(["bench", "sampler",
                          "--synth", "n=600,m=600,d=4,groups=2,seed=0",
@@ -266,6 +283,24 @@ class TestTrainEvaluate:
                         + FAST_TRAIN) == 0
         state = json.loads(open(os.path.join(model, "state.json")).read())
         assert state["epoch"] == 4
+
+    def test_resume_with_conflicting_settings_is_2(self, tmp_path, capsys):
+        data = run_prepare(tmp_path)
+        model = str(tmp_path / "model")
+        first = ["--epochs", "2", "--d", "8", "--k", "4", "--seed", "0",
+                 "--alpha", "10", "--n-si", "10"]
+        assert cli.main(["train", "--data", data, "--out", model] + first) == 0
+        state_path = os.path.join(model, "state.json")
+        before = open(state_path).read()
+        for flag, value, name in (("--d", "16", "d"), ("--k", "8", "K"),
+                                  ("--seed", "5", "seed")):
+            args = list(first)
+            args[args.index(flag) + 1] = value
+            capsys.readouterr()
+            assert cli.main(["train", "--data", data, "--out", model,
+                             "--resume"] + args) == 2
+            assert f"checkpoint {name} " in capsys.readouterr().err
+        assert open(state_path).read() == before
 
     def test_model_data_mismatch_is_2(self, tmp_path):
         data = run_prepare(tmp_path, seed=0)

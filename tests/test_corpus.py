@@ -117,6 +117,23 @@ class TestMatrix:
                 assert got[u, i] == float((u, i) in truth)
 
 
+class TestSortedUnique:
+    @pytest.mark.parametrize("size,high", [(0, 5), (1, 5), (2, 1),
+                                           (1000, 50), (20000, 10 ** 12)])
+    def test_matches_np_unique(self, size, high):
+        # high <= size / 2 draws repeats; 10**12 draws nearly none
+        keys = np.random.default_rng(size).integers(-high, high, size=size)
+        got = corpus._sorted_unique(keys)
+        want = np.unique(keys)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+
+    def test_leaves_its_input_alone(self):
+        keys = np.array([3, 1, 3, 2], dtype=np.int64)
+        assert corpus._sorted_unique(keys).tolist() == [1, 2, 3]
+        assert keys.tolist() == [3, 1, 3, 2]
+
+
 class TestSocialEdges:
     def test_dedupe_symmetrize_and_isolated_self_loop(self):
         edges = corpus.social_edges(4, [(0, 1), (0, 1), (1, 2), (2, 2)],

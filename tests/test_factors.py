@@ -35,6 +35,41 @@ class TestSigmoid:
     def test_symmetry(self, z):
         assert fa.sigmoid(z) + fa.sigmoid(-z) == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("shape", [(-1,), (-1, 7)])
+    def test_bitwise_equal_to_masked_reference(self, shape):
+        special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan,
+                            709.8, -709.8, 745.2, -745.2, 5e-324, -5e-324,
+                            2.2e-308])
+        # quiet and signalling NaNs carrying payloads of either sign
+        nans = np.array([0x7FF8000000000123, 0xFFF8000000000456,
+                         0x7FF0000000000001], dtype=np.uint64).view(np.float64)
+        draws = np.random.default_rng(0).normal(0.0, 5.0, size=4000)
+        z = np.concatenate([special, nans, np.tile(special, 4), draws])
+        z = z[: z.size - z.size % 7].reshape(shape)
+        got, want = fa.sigmoid(z), masked_sigmoid(z)
+        assert got.shape == want.shape
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+        got = fa.clamped_sigmoid(z)
+        want = np.clip(masked_sigmoid(z), fa.TAU, 1.0 - fa.TAU)
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_scalar_matches_masked_reference(self):
+        for z in (0.0, -0.0, 3.5, -3.5, np.nan):
+            got = fa.sigmoid(z)
+            assert got.shape == ()
+            assert got.tobytes() == masked_sigmoid(z).tobytes()
+
+
+def masked_sigmoid(z):
+    """The logistic function as it was computed by splitting on sign."""
+    z = np.asarray(z, dtype=np.float64)
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
 
 class TestInitAndPredict:
     def test_init_reproducible(self):

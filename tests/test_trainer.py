@@ -10,7 +10,8 @@ from walkrec import synth, trainer
 from walkrec.corpus import matrix_from_pairs
 from walkrec.errors import ConfigError
 from walkrec.exposure import g_term
-from walkrec.factors import ModelConfig, PreferenceFactors, bern_ll, sigmoid
+from walkrec.factors import (TAU, ModelConfig, PreferenceFactors, bern_ll,
+                             predict_pairs, sigmoid)
 from walkrec.walker import SampleBatch, SamplerConfig
 
 from tests.conftest import random_factors, random_matrix, random_social
@@ -75,6 +76,22 @@ class TestThetaUpdate:
                             items=np.zeros(0, np.int64),
                             labels=np.zeros(0, np.int8), expected_scale=1.0)
         assert trainer.update_theta_from_batch(f, empty, lr=1.0) == 0.0
+
+    @pytest.mark.parametrize("label_dtype", [np.uint8, np.int64, np.float64])
+    def test_batch_log_likelihood_equals_bern_ll_sum(self, label_dtype):
+        # logits of either sign past 16 also put predictions on both clamps
+        f = random_factors(30, 40, 4, seed=11, scale=2.0)
+        rng = np.random.default_rng(12)
+        users = np.sort(rng.integers(0, 30, size=5000))
+        items = rng.integers(0, 40, size=5000)
+        labels = (rng.random(5000) < 0.4).astype(label_dtype)
+        sig = predict_pairs(f, users, items)
+        want = float(np.sum(bern_ll(labels.astype(np.float64), sig)))
+        batch = SampleBatch(users=users, items=items, labels=labels,
+                            expected_scale=1.0)
+        got = trainer.update_theta_from_batch(f, batch, lr=0.1, l2=0.01)
+        assert got == want
+        assert (sig == TAU).any() and (sig == 1.0 - TAU).any()
 
     def test_duplicates_accumulate_at_fixed_point(self):
         f = random_factors(3, 4, 2, seed=0)
@@ -270,6 +287,36 @@ class TestDeterminismAndResume:
         with pytest.raises(ConfigError):
             trainer.load_state(str(tmp_path), quick_config(mode="exmf_dense"),
                                train)
+
+    @pytest.mark.parametrize("mode,change", [
+        ("samwalker_pp", dict(seed=5)),
+        ("samwalker_pp", dict(K=4)),
+        ("samwalker_pp", dict(ablation="no_item")),
+        ("samwalker_pp", dict(model=ModelConfig(d=5))),
+        ("samwalker", dict(seed=5)),
+        ("samwalker", dict(model=ModelConfig(d=5))),
+        ("exmf_dense", dict(model=ModelConfig(d=5))),
+    ])
+    def test_load_rejects_conflicting_settings(self, tmp_path, mode, change):
+        train = random_matrix(8, 10, 0.3, seed=10)
+        social = random_social(8, 2, seed=10)
+        state = trainer.fit(train, quick_config(mode, epochs=1), social=social)
+        trainer.save_state(str(tmp_path), state)
+        name = "d" if "model" in change else next(iter(change))
+        with pytest.raises(ConfigError, match=f"checkpoint {name} "):
+            trainer.load_state(str(tmp_path), quick_config(mode, **change),
+                               train, social=social)
+
+    def test_load_ignores_k_outside_pseudo_mode(self, tmp_path):
+        train = random_matrix(8, 10, 0.3, seed=10)
+        social = random_social(8, 2, seed=10)
+        state = trainer.fit(train, quick_config("samwalker", epochs=1),
+                            social=social)
+        trainer.save_state(str(tmp_path), state)
+        back = trainer.load_state(str(tmp_path),
+                                  quick_config("samwalker", K=9), train,
+                                  social=social)
+        assert back.epoch == 1
 
 
 class TestEvalLogging:

@@ -292,6 +292,43 @@ class TestNthMissing:
             assert got.tolist() == missing[ranks].tolist()
 
 
+def search_emit(engine, origins, stops, rng):
+    """emit as it was: each kept position searched for its walk, each pair
+    labeled by InteractionMatrix.labels."""
+    counts = engine.X.row_counts[stops]
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if ends.size else 0
+    block = fa.PAIR_DOT_CELLS
+    keep = [lo + np.flatnonzero(rng.random(min(block, total - lo))
+                                < 1.0 / engine.cfg.beta)
+            for lo in range(0, total, block)]
+    keep = np.concatenate(keep) if keep else np.zeros(0, dtype=np.int64)
+    walk = np.searchsorted(ends, keep, side="right")
+    offset = keep - (ends[walk] - counts[walk])
+    users = origins[walk]
+    items = engine.X.row_items[engine.X.row_indptr[stops[walk]] + offset]
+    return users, items, engine.X.labels(users, items)
+
+
+def emission_case(order, beta=20.0):
+    """Sparse rows (m = 90 > 8 * 7), six users with none, and origins in
+    batch order, sorted with gaps, or shuffled."""
+    n, m = 40, 90
+    dense = np.random.default_rng(35).random((n, m)) < 0.12
+    dense[[0, 3, 4, 17, 18, 39]] = False
+    train = matrix_from_pairs(n, m, *np.nonzero(dense))
+    social = build_social_graph(random_social(n, 3, seed=36), seed=36)
+    engine = wk.WalkEngine(social, train, wk.SamplerConfig(
+        alpha=3, beta=beta, c=0.6, t_m=2))
+    origins = np.repeat(np.arange(n, dtype=np.int64), 3)
+    rng = np.random.default_rng(37)
+    if order == "gapped":
+        origins = np.sort(rng.choice(n, size=90)).astype(np.int32)
+    elif order == "shuffled":
+        origins = rng.permutation(origins)
+    return train, engine, origins, engine.stop_users(origins, rng)
+
+
 def make_graphs(n=12, m=16, seed=0):
     train = random_matrix(n, m, 0.3, seed=seed)
     social = build_social_graph(random_social(n, 3, seed=seed), seed=seed)
@@ -420,6 +457,53 @@ class TestWalkEngineEmission:
         assert 0 < users.size < total / 500
         block_bytes = 9 * fa.PAIR_DOT_CELLS  # the uniforms and their mask
         assert peak < 2 * block_bytes + 64 * users.size + 64 * 400
+
+    @pytest.mark.parametrize("beta", [1.0, 3.0, 20.0])
+    @pytest.mark.parametrize("block", [1, 7, 40, fa.PAIR_DOT_CELLS, 10 ** 9])
+    @pytest.mark.parametrize("order", ["sorted", "gapped", "shuffled"])
+    def test_emit_matches_search_reference(self, beta, block, order,
+                                           monkeypatch):
+        train, engine, origins, stops = emission_case(order, beta)
+        monkeypatch.setattr(fa, "PAIR_DOT_CELLS", block)
+        got = engine.emit(origins, stops, np.random.default_rng(31))
+        want = search_emit(engine, origins, stops, np.random.default_rng(31))
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype
+            np.testing.assert_array_equal(g, w)
+        assert got[0].size > 0 and 0 < got[2].sum() < got[2].size
+
+    def test_emit_case_covers_the_corners(self):
+        train, engine, origins, stops = emission_case("sorted")
+        counts = train.row_counts[stops]
+        assert (train.row_counts[origins] == 0).any()  # origins without positives
+        assert (counts == 0).any()  # stop users with empty rows
+        # 7-cell blocks split walks and users, and some hold two users,
+        # each a label span of its own since m > 8 * 7
+        ends = np.cumsum(counts)
+        assert ((ends - counts) // 7 != (ends - 1) // 7)[counts > 0].any()
+        user = np.repeat(origins, counts)
+        block = np.arange(user.size) // 7
+        same_user, same_block = user[1:] == user[:-1], block[1:] == block[:-1]
+        assert (same_user & ~same_block).any()
+        assert (~same_user & same_block).any()
+        assert 8 * 7 // train.m == 0
+
+    @pytest.mark.parametrize("block", [1, 7, 40, 10 ** 9])
+    def test_origin_labeler_matches_labels(self, block, monkeypatch):
+        monkeypatch.setattr(fa, "PAIR_DOT_CELLS", block)
+        train = random_matrix(50, 90, 0.1, seed=33, min_row=0)
+        rng = np.random.default_rng(34)
+        for size in (0, 1, 17, 400):
+            users = np.sort(rng.integers(0, 50, size=size))
+            items = rng.integers(0, 90, size=size)
+            items[: size // 2] = [rng.choice(train.row(u)) if train.row_counts[u]
+                                  else 0 for u in users[: size // 2]]
+            for u in (users, users.astype(np.int32), users[::-1].copy()):
+                labeler = wk._OriginLabeler(train)
+                assert labeler.table.nbytes <= max(8 * block, train.m)
+                got = labeler(u, items)
+                assert got.dtype == np.uint8
+                np.testing.assert_array_equal(got, train.labels(u, items))
 
     def test_emit_without_candidates(self):
         train, social, _ = make_graphs(seed=24)
