@@ -19,109 +19,26 @@ import numpy as np
 from . import corpus, metrics, synth, trainer
 from .errors import (ConfigError, EmptyDatasetError, EstimatorError,
                      GuardError, ParseError, WalkrecError)
-from .factors import ModelConfig, load_factors
+from .factors import load_factors
 from .graphnet import build_pseudo_graph, build_social_graph, dense_transition
 from .oracle import dense_gamma_truncated
-from .trainer import TrainConfig, TrainState
+from .trainer import TrainConfig, parse_ks
 from .walker import BASELINE_KINDS, BaselineSampler, SamplerConfig, WalkEngine
-
-TRAIN_DEFAULTS = {
-    "mode": "samwalker_pp",
-    "d": 32,
-    "k": 32,
-    "epochs": 50,
-    "alpha": 100,
-    "beta": 20.0,
-    "c": 0.9,
-    "t_m": 5,
-    "eta": 0.5,
-    "epsilon": 0.001,
-    "lr_theta": 0.05,
-    "lr_phi": 0.01,
-    "l2_theta": 1e-4,
-    "n_si": 100,
-    "theta_steps": 1,
-    "eval_every": 0,
-    "ks": "5,10",
-    "seed": 0,
-    "ablation": "none",
-}
-
-
-def _parse_ks(text: str) -> tuple[int, ...]:
-    """Distinct positive integers from a comma-separated list (cutoffs for
-    --ks, depths for --tm-values)."""
-    bad = f"bad list {text!r}: expected distinct positive integers, comma separated"
-    try:
-        ks = tuple(int(part) for part in str(text).split(",") if part.strip())
-    except ValueError:
-        raise ConfigError(bad) from None
-    if not ks or min(ks) < 1 or len(set(ks)) != len(ks):
-        raise ConfigError(bad)
-    return ks
 
 
 def _merge_train_settings(args: argparse.Namespace) -> dict:
-    settings = dict(TRAIN_DEFAULTS)
-    if args.config:
-        try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                loaded = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"{args.config}: not valid JSON ({e})") from None
-        if not isinstance(loaded, dict):
-            raise ConfigError(f"{args.config}: expected a JSON object")
-        unknown = sorted(set(loaded) - set(TRAIN_DEFAULTS))
-        if unknown:
-            raise ConfigError(f"{args.config}: unknown config keys {unknown}")
-        settings.update(loaded)
-    for key in TRAIN_DEFAULTS:
-        value = getattr(args, key, None)
-        if value is not None:
-            settings[key] = value
+    """The --config file's settings with the train flags that were given
+    laid over them."""
+    settings = corpus.read_json_object(args.config) if args.config else {}
+    for key in trainer.FLAT_FIELDS:
+        if getattr(args, key) is not None:
+            settings[key] = getattr(args, key)
     return settings
-
-
-def _build_train_config(settings: dict) -> TrainConfig:
-    try:
-        model = ModelConfig(d=int(settings["d"]),
-                            epsilon=float(settings["epsilon"]),
-                            eta=float(settings["eta"]),
-                            lr_theta=float(settings["lr_theta"]),
-                            lr_phi=float(settings["lr_phi"]),
-                            l2_theta=float(settings["l2_theta"]))
-        sampler = SamplerConfig(alpha=int(settings["alpha"]),
-                                beta=float(settings["beta"]),
-                                c=float(settings["c"]),
-                                t_m=int(settings["t_m"]),
-                                seed=int(settings["seed"]))
-        return TrainConfig(mode=str(settings["mode"]),
-                           epochs=int(settings["epochs"]),
-                           K=int(settings["k"]),
-                           n_si=int(settings["n_si"]),
-                           theta_steps=int(settings["theta_steps"]),
-                           eval_every=int(settings["eval_every"]),
-                           eval_ks=_parse_ks(settings["ks"]),
-                           seed=int(settings["seed"]),
-                           ablation=str(settings["ablation"]),
-                           model=model, sampler=sampler)
-    except ValueError as e:
-        raise ConfigError(str(e)) from None
 
 
 def _read_manifest(path: str) -> tuple[int, int]:
     """(n, m) from a prepared directory's manifest.json."""
-    try:
-        with open(path, "rb") as fh:
-            manifest = json.loads(fh.read())
-    except json.JSONDecodeError as e:
-        raise ParseError(path, e.lineno, f"not valid JSON ({e.msg})") from None
-    except UnicodeDecodeError as e:
-        raise ParseError(path, 0, f"not valid JSON ({e.reason})") from None
-    except OSError as e:
-        raise ParseError(path, 0, f"cannot read ({e.strerror})") from None
-    if not isinstance(manifest, dict):
-        raise ConfigError(f"{path}: expected a JSON object")
+    manifest = corpus.read_json_object(path)
     dims = [manifest.get(key) for key in ("n", "m")]
     if not all(type(v) is int and v >= 1 for v in dims):
         raise ConfigError(f"{path}: n and m must be positive integers, "
@@ -214,8 +131,8 @@ def cmd_prepare(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    settings = _merge_train_settings(args)
-    config = _build_train_config(settings)
+    config = TrainConfig.from_flat(_merge_train_settings(args),
+                                   origin=args.config or "train flags")
     train, test, social = _load_data_dir(args.data)
     if config.mode == "samwalker" and social is None:
         raise ConfigError("samwalker mode needs social.tsv in the data "
@@ -240,7 +157,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     factors = load_factors(os.path.join(args.model, "factors.bin"))
     if factors.n != train.n or factors.m != train.m:
         raise ConfigError("model does not match the data dimensions")
-    report = metrics.evaluate(factors, train, test, ks=_parse_ks(args.ks))
+    report = metrics.evaluate(factors, train, test, ks=parse_ks(args.ks))
     out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:
         if args.json:
@@ -263,15 +180,12 @@ def _bench_instance(args: argparse.Namespace):
     return inst.train, inst.test, None
 
 
-def _bench_graph(train, social, args: argparse.Namespace):
-    if getattr(args, "mode", "samwalker_pp") == "samwalker":
-        if social is None:
-            raise ConfigError("samwalker bench needs social edges")
-        return build_social_graph(social, seed=args.seed)
-    try:
-        return build_pseudo_graph(train, K=args.k, seed=args.seed)
-    except ValueError as e:
-        raise ConfigError(str(e)) from None
+def _bench_config(args: argparse.Namespace, **overrides) -> TrainConfig:
+    """TrainConfig.from_flat on the bench flags that are set, plus overrides."""
+    settings = {key: getattr(args, key) for key in trainer.FLAT_FIELDS
+                if getattr(args, key, None) is not None}
+    settings.update(overrides)
+    return TrainConfig.from_flat(settings, origin="bench flags")
 
 
 def _write_rows(path: str | None, header: str, rows) -> None:
@@ -290,9 +204,15 @@ def cmd_bench_sampler(args: argparse.Namespace) -> int:
     if train.n * train.m > 250_000:
         raise GuardError("sampler bench needs a small instance "
                          f"(got {train.n}x{train.m})")
-    graph = _bench_graph(train, social, args)
     n, m = train.n, train.m
-    cfg = _bench_sampler_config(args, alpha=max(1, args.draws // n))
+    config = _bench_config(args, alpha=max(1, args.draws // n))
+    if config.mode == "samwalker":
+        if social is None:
+            raise ConfigError("samwalker bench needs social edges")
+        graph = build_social_graph(social, seed=config.seed)
+    else:
+        graph = build_pseudo_graph(train, K=config.K, seed=config.seed)
+    cfg = config.sampler
     W = dense_transition(graph)
     gamma = dense_gamma_truncated(W, train.to_dense(), cfg.c, cfg.t_m)
     rng = np.random.default_rng(args.seed)
@@ -334,11 +254,10 @@ def _freq_stats(counts: np.ndarray, expected: np.ndarray, fixed_total: bool):
 
 def cmd_bench_variance(args: argparse.Namespace) -> int:
     train, _, social = _bench_instance(args)
-    graph = _bench_graph(train, social, args)
-    cfg = _bench_sampler_config(args)
-    config = _bench_train_config(args, cfg)
+    config = _bench_config(args)
     state = trainer.fit(train, config, social=social)
-    result = metrics.variance_bench(state.factors, state.graph, train, cfg,
+    result = metrics.variance_bench(state.factors, state.graph, train,
+                                    config.sampler,
                                     repeats=args.repeats,
                                     n_coords=args.coords, seed=args.seed)
     rows = [(kind, f"{info['variance']:.6e}", f"{info['mean_abs_bias']:.6e}")
@@ -347,38 +266,13 @@ def cmd_bench_variance(args: argparse.Namespace) -> int:
     return 0
 
 
-def _bench_sampler_config(args, **overrides) -> SamplerConfig:
-    """The sampler settings of a bench subcommand; a bad flag is a ConfigError."""
-    kwargs = dict(alpha=args.alpha, beta=args.beta, c=args.c, t_m=args.t_m,
-                  seed=args.seed)
-    kwargs.update(overrides)
-    try:
-        return SamplerConfig(**kwargs)
-    except ValueError as e:
-        raise ConfigError(str(e)) from None
-
-
-def _bench_train_config(args, cfg: SamplerConfig, **overrides) -> TrainConfig:
-    """The training settings of a bench subcommand; a bad flag is a ConfigError."""
-    try:
-        model = ModelConfig(d=args.d)
-    except ValueError as e:
-        raise ConfigError(str(e)) from None
-    kwargs = dict(mode=getattr(args, "mode", "samwalker_pp"),
-                  epochs=args.epochs, K=args.k, seed=args.seed,
-                  model=model, sampler=cfg)
-    kwargs.update(overrides)
-    return TrainConfig(**kwargs)
-
-
 def cmd_bench_tm_sweep(args: argparse.Namespace) -> int:
     train, test, social = _bench_instance(args)
     if test is None:
         raise ConfigError("tm-sweep needs a test split")
     rows = []
-    for t_m in _parse_ks(args.tm_values):
-        cfg = _bench_sampler_config(args, t_m=t_m)
-        config = _bench_train_config(args, cfg)
+    for t_m in parse_ks(args.tm_values):
+        config = _bench_config(args, t_m=t_m)
         state = trainer.fit(train, config, social=social)
         report = metrics.evaluate(state.factors, train, test)
         for metric, k, value in report.rows():
@@ -392,11 +286,9 @@ def cmd_bench_ablation(args: argparse.Namespace) -> int:
     train, test, social = _bench_instance(args)
     if test is None:
         raise ConfigError("ablation bench needs a test split")
-    cfg = _bench_sampler_config(args)
     rows = []
     for variant in ("none", "no_item", "no_community"):
-        config = _bench_train_config(args, cfg, mode="samwalker_pp",
-                                     ablation=variant)
+        config = _bench_config(args, mode="samwalker_pp", ablation=variant)
         state = trainer.fit(train, config)
         report = metrics.evaluate(state.factors, train, test)
         label = "full" if variant == "none" else variant
@@ -408,14 +300,15 @@ def cmd_bench_ablation(args: argparse.Namespace) -> int:
 
 
 def _add_sampler_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--alpha", type=int, default=100,
-                   help="walks per user per batch (default 100)")
-    p.add_argument("--beta", type=float, default=20.0,
-                   help="item thinning divisor (default 20)")
-    p.add_argument("--c", type=float, default=0.9,
-                   help="walk continuation probability (default 0.9)")
-    p.add_argument("--t-m", type=int, default=5, dest="t_m",
-                   help="propagation depth / walk cap (default 5)")
+    sc = SamplerConfig
+    p.add_argument("--alpha", type=int,
+                   help=f"walks per user per batch (default {sc.alpha})")
+    p.add_argument("--beta", type=float,
+                   help=f"item thinning divisor (default {sc.beta:g})")
+    p.add_argument("--c", type=float,
+                   help=f"walk continuation probability (default {sc.c})")
+    p.add_argument("--t-m", type=int, dest="t_m",
+                   help=f"propagation depth / walk cap (default {sc.t_m})")
 
 
 def _add_bench_common(p: argparse.ArgumentParser) -> None:
@@ -468,11 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, help="factor dimension (default 32)")
     p.add_argument("--k", type=int, help="community count (default 32)")
     p.add_argument("--epochs", type=int, help="epochs to run (default 50)")
-    p.add_argument("--alpha", type=int, help="walks per user (default 100)")
-    p.add_argument("--beta", type=float, help="item thinning divisor (default 20)")
-    p.add_argument("--c", type=float, help="continuation probability (default 0.9)")
-    p.add_argument("--t-m", type=int, dest="t_m",
-                   help="propagation depth / walk cap (default 5)")
+    _add_sampler_flags(p)
     p.add_argument("--eta", type=float, help="prior exposure probability (default 0.5)")
     p.add_argument("--epsilon", type=float,
                    help="accidental click probability (default 0.001)")

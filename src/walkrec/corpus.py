@@ -7,13 +7,14 @@ to dense 0-based integers in first-appearance order.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import EmptyDatasetError, GuardError, ParseError
+from .errors import ConfigError, EmptyDatasetError, GuardError, ParseError
 
 
 class Interaction(NamedTuple):
@@ -447,3 +448,20 @@ def read_pairs(path: str, n: int | None = None, m: int | None = None) -> Interac
         raise ParseError(path, line_nos[bad[0]],
                          f"id out of range (users < {n}, items < {m})")
     return matrix_from_pairs(n, m, users, items)
+
+
+def read_json_object(path: str) -> dict:
+    """A JSON object from path (manifest.json, state.json); anything else is
+    a ParseError or ConfigError naming the file."""
+    try:
+        with open(path, "rb") as fh:
+            loaded = json.loads(fh.read())
+    except json.JSONDecodeError as e:
+        raise ParseError(path, e.lineno, f"not valid JSON ({e.msg})") from None
+    except UnicodeDecodeError as e:
+        raise ParseError(path, 0, f"not valid JSON ({e.reason})") from None
+    except OSError as e:
+        raise ParseError(path, 0, f"cannot read ({e.strerror})") from None
+    if not isinstance(loaded, dict):
+        raise ConfigError(f"{path}: expected a JSON object")
+    return loaded

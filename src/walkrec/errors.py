@@ -18,8 +18,8 @@ class EmptyDatasetError(WalkrecError):
     """No usable interactions remain after loading or filtering."""
 
 
-class ConfigError(WalkrecError):
-    """Invalid or inconsistent run configuration."""
+class ConfigError(WalkrecError, ValueError):
+    """Invalid or inconsistent run configuration (also a ValueError)."""
 
 
 class GuardError(WalkrecError):

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .errors import ParseError
+from .errors import ConfigError, ParseError
 
 TAU = 1e-7
 # Cells per block wherever a long per-pair array is built a block at a time
@@ -39,18 +39,18 @@ class ModelConfig:
     def __post_init__(self):
         for name in ("epsilon", "eta", "lr_theta", "lr_phi", "l2_theta"):
             if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, "
+                raise ConfigError(f"{name} must be finite, "
                                  f"got {getattr(self, name)!r}")
         if self.d < 1:
-            raise ValueError("d must be at least 1")
+            raise ConfigError("d must be at least 1")
         if not 0.0 < self.epsilon < 1.0:
-            raise ValueError("epsilon must lie in (0, 1)")
+            raise ConfigError("epsilon must lie in (0, 1)")
         if not 0.0 < self.eta < 1.0:
-            raise ValueError("eta must lie in (0, 1)")
+            raise ConfigError("eta must lie in (0, 1)")
         if self.lr_theta <= 0 or self.lr_phi <= 0:
-            raise ValueError("learning rates must be positive")
+            raise ConfigError("learning rates must be positive")
         if self.l2_theta < 0:
-            raise ValueError("l2_theta must be nonnegative")
+            raise ConfigError("l2_theta must be nonnegative")
 
 
 @dataclass

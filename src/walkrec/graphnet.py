@@ -28,7 +28,7 @@ import numpy as np
 from scipy import sparse
 
 from .corpus import InteractionMatrix, SocialEdges
-from .errors import GuardError, ParseError
+from .errors import ConfigError, GuardError, ParseError
 from .factors import pair_dots, sigmoid
 
 GRAPH_MAGIC = b"PROPGRPH"
@@ -219,7 +219,7 @@ def build_social_graph(edges: SocialEdges, seed=0,
 def build_pseudo_graph(train: InteractionMatrix, K: int = 32, seed=0,
                        init_scale: float = 0.01) -> PseudoGraphParams:
     if K < 1:
-        raise ValueError("K must be at least 1")
+        raise ConfigError("K must be at least 1")
     rng = np.random.default_rng(seed)
     nnz, n, m = train.nnz, train.n, train.m
     return PseudoGraphParams(

@@ -90,13 +90,10 @@ def parse_synth_spec(spec: str) -> dict:
             raise ConfigError(f"bad synth spec fragment {part!r}")
         key, value = part.split("=", 1)
         key = key.strip()
+        if key not in int_keys | float_keys:
+            raise ConfigError(f"unknown synth spec key {key!r}")
         try:
-            if key in int_keys:
-                out[key] = int(value)
-            elif key in float_keys:
-                out[key] = float(value)
-            else:
-                raise ConfigError(f"unknown synth spec key {key!r}")
+            out[key] = int(value) if key in int_keys else float(value)
         except ValueError:
             raise ConfigError(f"bad synth spec value {part!r}") from None
     return out

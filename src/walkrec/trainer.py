@@ -18,6 +18,7 @@ checkpoint replays the exact run that uninterrupted training would produce.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 import os
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import InteractionMatrix, SocialEdges
+from .corpus import InteractionMatrix, SocialEdges, read_json_object
 from .errors import ConfigError, GuardError
 from .exposure import g_term, phi_objective_and_backward
 from .factors import (ModelConfig, PreferenceFactors, TAU,
@@ -42,6 +43,46 @@ _logger = logging.getLogger(__name__)
 MODES = ("samwalker", "samwalker_pp", "exmf_dense")
 ABLATIONS = ("none", "no_item", "no_community")
 DENSE_CELL_GUARD = 10_000_000
+
+
+def parse_ks(text: str) -> tuple[int, ...]:
+    """Distinct positive integers from a comma-separated list (cutoffs for
+    --ks, depths for --tm-values)."""
+    bad = f"bad list {text!r}: expected distinct positive integers, comma separated"
+    try:
+        ks = tuple(int(part) for part in str(text).split(",") if part.strip())
+    except ValueError:
+        raise ConfigError(bad) from None
+    if not ks or min(ks) < 1 or len(set(ks)) != len(ks):
+        raise ConfigError(bad)
+    return ks
+
+
+# The flat settings schema: train flag dest / --config key / state.json key
+# -> (section of TrainConfig, or None for TrainConfig itself; field; parser).
+FLAT_FIELDS = {
+    "mode": (None, "mode", str),
+    "d": ("model", "d", int),
+    "k": (None, "K", int),
+    "epochs": (None, "epochs", int),
+    "alpha": ("sampler", "alpha", int),
+    "beta": ("sampler", "beta", float),
+    "c": ("sampler", "c", float),
+    "t_m": ("sampler", "t_m", int),
+    "eta": ("model", "eta", float),
+    "epsilon": ("model", "epsilon", float),
+    "lr_theta": ("model", "lr_theta", float),
+    "lr_phi": ("model", "lr_phi", float),
+    "l2_theta": ("model", "l2_theta", float),
+    "n_si": (None, "n_si", int),
+    "theta_steps": (None, "theta_steps", int),
+    "eval_every": (None, "eval_every", int),
+    "ks": (None, "eval_ks", parse_ks),
+    "seed": (None, "seed", int),
+    "ablation": (None, "ablation", str),
+}
+# Settings a resumed run may change: they do not alter the trajectory.
+RESUME_FREE = ("epochs", "eval_every", "ks")
 
 
 @dataclass
@@ -76,15 +117,55 @@ class TrainConfig:
         if len(set(self.eval_ks)) != len(self.eval_ks):
             raise ConfigError(f"eval_ks repeats a cutoff: {self.eval_ks}")
 
+    def to_flat(self) -> dict:
+        """The settings as one JSON-ready object keyed as FLAT_FIELDS."""
+        flat = {key: getattr(getattr(self, section) if section else self, name)
+                for key, (section, name, _) in FLAT_FIELDS.items()}
+        flat["ks"] = ",".join(str(k) for k in self.eval_ks)
+        return flat
+
+    @classmethod
+    def from_flat(cls, settings: dict, origin: str = "settings") -> "TrainConfig":
+        """Build a config from flat settings; missing keys take the dataclass
+        defaults, and seed sets both this and the sampler's seed. origin
+        names the source of the settings in errors."""
+        unknown = sorted(set(settings) - set(FLAT_FIELDS))
+        if unknown:
+            raise ConfigError(f"{origin}: unknown config keys {unknown}")
+        parts = {None: {}, "model": {}, "sampler": {}}
+        for key, value in settings.items():
+            section, name, parse = FLAT_FIELDS[key]
+            if value is None or isinstance(value, (bool, list, dict)):
+                raise ConfigError(f"{origin}: {key} must be a number or a "
+                                  f"string, got {json.dumps(value)}")
+            if parse is int and isinstance(value, float) and not value.is_integer():
+                raise ConfigError(f"{origin}: {key} must be an integer, got {value!r}")
+            try:
+                parts[section][name] = parse(value)
+            except ValueError as e:
+                raise ConfigError(f"{origin}: {key}: {e}") from None
+        if "seed" in parts[None]:
+            parts["sampler"]["seed"] = parts[None]["seed"]
+        return cls(**parts[None], model=ModelConfig(**parts["model"]),
+                   sampler=SamplerConfig(**parts["sampler"]))
+
 
 @dataclass
 class TrainState:
     config: TrainConfig
     factors: PreferenceFactors
     graph: SocialGraphParams | PseudoGraphParams | None
-    gamma: np.ndarray | None
+    train_sha256: str
     epoch: int
     history: list[dict]
+
+
+def train_sha256(train: InteractionMatrix) -> str:
+    """Fingerprint of the train matrix a state was fitted on."""
+    h = hashlib.sha256()
+    for part in ([train.n, train.m], train.row_indptr, train.row_items):
+        h.update(np.asarray(part, dtype=np.int64).tobytes())
+    return h.hexdigest()
 
 
 def _epoch_rng(seed: int, epoch: int) -> np.random.Generator:
@@ -186,7 +267,7 @@ def init_state(train: InteractionMatrix, config: TrainConfig,
         train.n, train.m, config.model.d,
         seed=np.random.SeedSequence(config.seed, spawn_key=(0, 0)))
     return TrainState(config=config, factors=factors, graph=graph,
-                      gamma=None, epoch=0, history=[])
+                      train_sha256=train_sha256(train), epoch=0, history=[])
 
 
 def _walk_epoch(state: TrainState, train: InteractionMatrix,
@@ -220,7 +301,6 @@ def _dense_epoch(state: TrainState, Xd: np.ndarray) -> dict:
                                          - model.l2_theta * state.factors.P)
     state.factors.Q += model.lr_theta * (R.T @ state.factors.P
                                          - model.l2_theta * state.factors.Q)
-    state.gamma = gamma
     value = float(np.sum(gamma * bern_ll(Xd, sig))
                   + np.sum(g_term(gamma, Xd, model.eta, model.epsilon)))
     return {"epoch": state.epoch, "objective": value}
@@ -287,15 +367,8 @@ def save_state(out_dir: str, state: TrainState) -> None:
     save_factors(os.path.join(out_dir, "factors.bin"), state.factors)
     if state.graph is not None:
         save_graph(os.path.join(out_dir, "graph.bin"), state.graph)
-    meta = {
-        "mode": state.config.mode,
-        "epoch": state.epoch,
-        "seed": state.config.seed,
-        "K": state.config.K,
-        "ablation": state.config.ablation,
-        "d": state.config.model.d,
-        "history": state.history,
-    }
+    meta = {"config": state.config.to_flat(), "epoch": state.epoch,
+            "history": state.history, "train_sha256": state.train_sha256}
     with open(os.path.join(out_dir, "state.json"), "w", encoding="utf-8") as fh:
         json.dump(meta, fh, sort_keys=True, indent=1)
         fh.write("\n")
@@ -305,32 +378,43 @@ def load_state(out_dir: str, config: TrainConfig, train: InteractionMatrix,
                social: SocialEdges | None = None) -> TrainState:
     """Rebuild a TrainState from save_state output plus the data topology.
 
-    The checkpoint's mode, seed, ablation, factor width d and (for
-    samwalker_pp) K must match config; a mismatch is a ConfigError naming
-    the field, since the resumed run would neither replay the checkpointed
-    one nor be recorded truthfully.
+    Every checkpointed setting except RESUME_FREE (and K outside
+    samwalker_pp) must match config, and train must be the matrix the
+    checkpoint was fitted on; a mismatch is a ConfigError naming the field,
+    since the resumed run would neither replay the checkpointed one nor be
+    recorded truthfully.
     """
-    with open(os.path.join(out_dir, "state.json"), "r", encoding="utf-8") as fh:
-        meta = json.load(fh)
-    if meta["mode"] != config.mode:
-        raise ConfigError(
-            f"checkpoint mode {meta['mode']!r} does not match {config.mode!r}")
-    factors = load_factors(os.path.join(out_dir, "factors.bin"))
-    pairs = {"seed": (meta["seed"], config.seed),
-             "ablation": (meta["ablation"], config.ablation),
-             "d": (factors.d, config.model.d)}
-    if config.mode == "samwalker_pp":
-        pairs["K"] = (meta["K"], config.K)
-    for name, (saved, wanted) in pairs.items():
-        if saved != wanted:
+    path = os.path.join(out_dir, "state.json")
+    meta = read_json_object(path)
+    if not isinstance(meta.get("config"), dict):
+        raise ConfigError(f"{path}: no config object (a checkpoint from an "
+                          "older walkrec cannot be resumed; retrain)")
+    if (type(meta.get("epoch")) is not int or meta["epoch"] < 0
+            or not isinstance(meta.get("history"), list)
+            or not isinstance(meta.get("train_sha256"), str)):
+        raise ConfigError(f"{path}: epoch, history or train_sha256 missing "
+                          "or malformed")
+    saved = TrainConfig.from_flat(meta["config"], origin=path).to_flat()
+    wanted = config.to_flat()
+    for key, (_, name, _) in FLAT_FIELDS.items():
+        if key in RESUME_FREE or (key == "k" and config.mode != "samwalker_pp"):
+            continue
+        if saved[key] != wanted[key]:
             raise ConfigError(
-                f"{out_dir}: checkpoint {name} {saved!r} does not match "
-                f"{wanted!r}; resume with the checkpoint's settings")
+                f"{out_dir}: checkpoint {name} {saved[key]!r} does not match "
+                f"{wanted[key]!r}; resume with the checkpoint's settings")
+    fingerprint = train_sha256(train)
+    if meta["train_sha256"] != fingerprint:
+        raise ConfigError(f"{out_dir}: checkpoint was trained on other data "
+                          "(train matrix SHA-256 differs); resume on the "
+                          "checkpoint's data")
+    factors = load_factors(os.path.join(out_dir, "factors.bin"))
     graph = None
     if config.mode != "exmf_dense":
         graph = load_graph(os.path.join(out_dir, "graph.bin"),
                            train=train, social=social)
         if config.mode == "samwalker_pp" and config.ablation != "none":
             graph.freeze_mix = True
-    return TrainState(config=config, factors=factors, graph=graph, gamma=None,
-                      epoch=int(meta["epoch"]), history=list(meta["history"]))
+    return TrainState(config=config, factors=factors, graph=graph,
+                      train_sha256=fingerprint, epoch=meta["epoch"],
+                      history=list(meta["history"]))

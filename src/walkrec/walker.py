@@ -26,7 +26,7 @@ import numpy as np
 
 from . import factors
 from .corpus import InteractionMatrix
-from .errors import EstimatorError
+from .errors import ConfigError, EstimatorError
 from .graphnet import normalize_edges
 
 BASELINE_KINDS = ("allunion", "balunion", "itempop", "cobias")
@@ -43,16 +43,16 @@ class SamplerConfig:
     def __post_init__(self):
         for name in ("beta", "c"):
             if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, "
+                raise ConfigError(f"{name} must be finite, "
                                  f"got {getattr(self, name)!r}")
         if self.alpha < 1:
-            raise ValueError("alpha must be at least 1")
+            raise ConfigError("alpha must be at least 1")
         if self.beta < 1:
-            raise ValueError("beta must be at least 1")
+            raise ConfigError("beta must be at least 1")
         if not 0.0 <= self.c < 1.0:
-            raise ValueError("c must lie in [0, 1)")
+            raise ConfigError("c must lie in [0, 1)")
         if self.t_m < 0:
-            raise ValueError("t_m must be nonnegative")
+            raise ConfigError("t_m must be nonnegative")
 
 
 @dataclass

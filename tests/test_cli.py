@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from walkrec import cli
+from walkrec import cli, trainer
 
 
 def write_raw_dataset(tmp_path, n_users=30, n_items=40, events=500, seed=0,
@@ -131,11 +131,52 @@ class TestExitCodes:
 
     def test_repeated_cutoff_is_2(self, tmp_path):
         with pytest.raises(cli.ConfigError):
-            cli._parse_ks("5,10,5")
+            cli.parse_ks("5,10,5")
         data = run_prepare(tmp_path)
         code = cli.main(["train", "--data", data, "--ks", "5,5",
                          "--out", str(tmp_path / "model")] + FAST_TRAIN)
         assert code == 2
+
+    @pytest.mark.parametrize("text,message", [
+        ('{"d": null}', "d must be a number or a string, got null"),
+        ('{"alpha": [1]}', "alpha must be a number or a string, got [1]"),
+        ('{"beta": {}}', "beta must be a number or a string, got {}"),
+        ('{"epochs": true}', "epochs must be a number or a string, got true"),
+        ('{"d": "x"}', "d: invalid literal"),
+        ('{"d": 4.5}', "d must be an integer, got 4.5"),
+        ('{"alpha": 1e400}', "alpha must be an integer, got inf"),
+    ])
+    def test_bad_config_value_is_2(self, tmp_path, capsys, text, message):
+        data = run_prepare(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        code = cli.main(["train", "--data", data, "--config", str(cfg),
+                         "--out", str(tmp_path / "model")])
+        assert code == 2
+        assert f"cfg.json: {message}" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "model")
+
+    @pytest.mark.parametrize("content", [
+        b"{bad", b"[1]", b"{}", b'{"n": \xff}', None,
+        # the checkpoint format before the flat config
+        b'{"K": 4, "ablation": "none", "d": 4, "epoch": 2, "history": [], '
+        b'"mode": "samwalker_pp", "seed": 0}',
+    ])
+    def test_malformed_state_json_is_2(self, tmp_path, capsys, content):
+        data = run_prepare(tmp_path)
+        model = str(tmp_path / "model")
+        assert cli.main(["train", "--data", data, "--out", model]
+                        + FAST_TRAIN) == 0
+        path = os.path.join(model, "state.json")
+        os.remove(path)
+        if content is not None:
+            with open(path, "wb") as fh:
+                fh.write(content)
+        capsys.readouterr()
+        assert cli.main(["train", "--data", data, "--out", model, "--resume"]
+                        + FAST_TRAIN) == 2
+        err = capsys.readouterr().err
+        assert "state.json" in err and "internal error" not in err
 
     @pytest.mark.parametrize("flag", ["--beta", "--c", "--eta", "--epsilon",
                                       "--lr-theta", "--lr-phi", "--l2-theta"])
@@ -302,6 +343,77 @@ class TestTrainEvaluate:
             assert f"checkpoint {name} " in capsys.readouterr().err
         assert open(state_path).read() == before
 
+    # One changed value per compared setting, each valid on its own.
+    RESUME_CHANGES = {
+        "mode": "exmf_dense", "d": "5", "k": "3", "alpha": "11", "beta": "6",
+        "c": "0.5", "t_m": "3", "eta": "0.4", "epsilon": "0.01",
+        "lr_theta": "0.5", "lr_phi": "0.02", "l2_theta": "0.001",
+        "n_si": "11", "theta_steps": "2", "seed": "5", "ablation": "no_item",
+    }
+
+    def test_resume_changes_cover_compared_settings(self):
+        assert (set(self.RESUME_CHANGES)
+                == set(trainer.FLAT_FIELDS) - set(trainer.RESUME_FREE))
+
+    @pytest.mark.parametrize("key", sorted(RESUME_CHANGES))
+    def test_resume_with_any_changed_setting_is_2(self, tmp_path, capsys, key):
+        data = run_prepare(tmp_path)
+        model = str(tmp_path / "model")
+        assert cli.main(["train", "--data", data, "--out", model]
+                        + FAST_TRAIN) == 0
+        before = open(os.path.join(model, "state.json")).read()
+        flag = "--" + key.replace("_", "-")
+        capsys.readouterr()
+        assert cli.main(["train", "--data", data, "--out", model, "--resume"]
+                        + FAST_TRAIN + [flag, self.RESUME_CHANGES[key]]) == 2
+        name = trainer.FLAT_FIELDS[key][1]
+        assert f"checkpoint {name} " in capsys.readouterr().err
+        assert open(os.path.join(model, "state.json")).read() == before
+
+    def test_resume_may_change_epochs_and_evaluation(self, tmp_path):
+        data = run_prepare(tmp_path)
+        model = str(tmp_path / "model")
+        assert cli.main(["train", "--data", data, "--out", model]
+                        + FAST_TRAIN) == 0
+        assert cli.main(["train", "--data", data, "--out", model, "--resume",
+                         "--epochs", "1", "--eval-every", "1", "--ks", "3"]
+                        + FAST_TRAIN[2:]) == 0
+        state = json.loads(open(os.path.join(model, "state.json")).read())
+        assert state["epoch"] == 3
+        assert state["config"]["ks"] == "3"
+
+    @pytest.mark.parametrize("mode", trainer.MODES)
+    def test_resume_on_other_data_is_2(self, tmp_path, capsys, mode):
+        data = run_prepare(tmp_path)
+        model = str(tmp_path / "model")
+        argv = ["train", "--data", data, "--out", model, "--mode", mode]
+        assert cli.main(argv + FAST_TRAIN) == 0
+        path = os.path.join(data, "interactions_train.tsv")
+        lines = open(path).read().splitlines(keepends=True)
+        with open(path, "w") as fh:  # same n and m, one positive fewer
+            fh.writelines(lines[:-1])
+        capsys.readouterr()
+        assert cli.main(argv + ["--resume"] + FAST_TRAIN) == 2
+        assert "other data" in capsys.readouterr().err
+
+    def test_dense_resume_on_other_shape_is_2(self, tmp_path, capsys):
+        data = run_prepare(tmp_path)
+        (tmp_path / "o").mkdir()
+        raw, _ = write_raw_dataset(tmp_path / "o", n_users=17, n_items=23,
+                                   seed=99)
+        other = str(tmp_path / "other")
+        assert cli.main(["prepare", "--interactions", raw,
+                         "--test-fraction", "0.2", "--min-item-count", "2",
+                         "--out", other]) == 0
+        model = str(tmp_path / "model")
+        dense = ["--mode", "exmf_dense"] + FAST_TRAIN
+        assert cli.main(["train", "--data", data, "--out", model] + dense) == 0
+        capsys.readouterr()
+        assert cli.main(["train", "--data", other, "--out", model, "--resume"]
+                        + dense) == 2
+        err = capsys.readouterr().err
+        assert "other data" in err and "internal error" not in err
+
     def test_model_data_mismatch_is_2(self, tmp_path):
         data = run_prepare(tmp_path, seed=0)
         (tmp_path / "o").mkdir(exist_ok=True)
@@ -377,3 +489,32 @@ class TestCliDeterminism:
             b1 = open(os.path.join(m1, name), "rb").read()
             b2 = open(os.path.join(m2, name), "rb").read()
             assert b1 == b2, name
+
+
+class TestFlatSchema:
+    NON_SETTINGS = {"command", "func", "data", "out", "config", "resume",
+                    "deterministic"}
+
+    def test_train_flags_are_the_schema_keys(self):
+        args = cli.build_parser().parse_args(["train", "--data", "d",
+                                              "--out", "o"])
+        assert set(vars(args)) - self.NON_SETTINGS == set(trainer.FLAT_FIELDS)
+
+    @pytest.mark.parametrize("argv", [
+        ["--mode", "samwalker", "--alpha", "7", "--c", "0.3", "--ks", "4,2"],
+        ["--mode", "samwalker_pp", "--ablation", "no_item", "--k", "6",
+         "--seed", "9", "--lr-phi", "0.2", "--eval-every", "3"],
+        ["--mode", "exmf_dense", "--d", "3", "--eta", "0.25",
+         "--l2-theta", "0"],
+    ])
+    def test_to_flat_round_trips(self, argv):
+        args = cli.build_parser().parse_args(["train", "--data", "d",
+                                              "--out", "o"] + argv)
+        config = trainer.TrainConfig.from_flat(cli._merge_train_settings(args))
+        assert config.sampler.seed == config.seed
+        flat = json.loads(json.dumps(config.to_flat()))
+        assert set(flat) == set(trainer.FLAT_FIELDS)
+        assert trainer.TrainConfig.from_flat(flat) == config
+
+    def test_missing_keys_take_dataclass_defaults(self):
+        assert trainer.TrainConfig.from_flat({}) == trainer.TrainConfig()

@@ -61,7 +61,7 @@ class TestParseSpec:
         assert spec["exposure_in"] == pytest.approx(0.4)
 
     def test_rejects_unknown_key(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="unknown synth spec key 'volume'"):
             synth.parse_synth_spec("n=20,volume=11")
 
     def test_rejects_garbage(self):
