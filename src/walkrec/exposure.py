@@ -99,6 +99,16 @@ def propagate_columns(graph, Xcols: np.ndarray, t_m: int, c: float,
     return gamma, gammas, parts_list
 
 
+def forward_tape(graph, X: InteractionMatrix, items: np.ndarray, t_m: int,
+                 c: float):
+    """The graph step's taped forward on the given item columns: the
+    propagate_columns result (gamma, gammas, parts) with keep_tape, whose
+    gammas[0] is the columns' indicator block. It reads the graph and X
+    only, so it can run while the factors change."""
+    return propagate_columns(graph, _item_columns(X, items), t_m, c,
+                             keep_tape=True)
+
+
 def propagate_forward(graph, X: InteractionMatrix, item: int, t_m: int,
                       c: float) -> np.ndarray:
     """Confidence column gamma_.item after t_m propagation sweeps."""
@@ -136,21 +146,25 @@ def full_objective(graph, factors: PreferenceFactors, X: InteractionMatrix,
 
 def phi_objective_and_backward(params, factors: PreferenceFactors,
                                X: InteractionMatrix, items, t_m: int, c: float,
-                               eta: float, epsilon: float):
+                               eta: float, epsilon: float, tape=None):
     """Objective over the selected item columns and its graph-logit gradient.
 
     The forward pass tapes gamma^(0..t_m) and the bridge intermediates; the
     reverse pass walks the tape once, accumulating gradients in probability
     space and pulling them back through the softmax (and, in pseudo mode, the
     mixing sigmoid) at the end. Cost is O(t_m * edges * len(items)).
+
+    tape, if given, is forward_tape's result for the same fold, items, t_m
+    and c, and the forward pass is skipped.
     """
     items = np.asarray(items, dtype=np.int64)
     if items.size and (items.min() < 0 or items.max() >= X.m):
         raise IndexError("item id out of range")
     mat = normalize_edges(params)
-    Xcols = _item_columns(X, items)
-    gamma, gammas, parts_list = propagate_columns(mat, Xcols, t_m, c,
-                                                  keep_tape=True)
+    if tape is None:
+        tape = forward_tape(mat, X, items, t_m, c)
+    gamma, gammas, parts_list = tape
+    Xcols = gammas[0]
     ll = _column_likelihood(factors, X, items, Xcols)
     value = float(np.sum(gamma * ll) + np.sum(g_term(gamma, Xcols, eta, epsilon)))
     gbar = ll + g_term_grad(gamma, Xcols, eta, epsilon)

@@ -18,17 +18,19 @@ checkpoint replays the exact run that uninterrupted training would produce.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import logging
 import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .corpus import InteractionMatrix, SocialEdges, read_json_object
 from .errors import ConfigError, GuardError
-from .exposure import g_term, phi_objective_and_backward
+from .exposure import forward_tape, g_term, phi_objective_and_backward
 from .factors import (ModelConfig, PreferenceFactors, TAU,
                       accumulate_pair_gradients, bern_ll, clamped_sigmoid,
                       init_factors, load_factors, predict_pairs, save_factors,
@@ -43,6 +45,10 @@ _logger = logging.getLogger(__name__)
 MODES = ("samwalker", "samwalker_pp", "exmf_dense")
 ABLATIONS = ("none", "no_item", "no_community")
 DENSE_CELL_GUARD = 10_000_000
+# A graph-step forward of fewer edge visits (t_m x item columns x fold
+# edges) runs inline: at about 0.7 ms per million visits it is too small to
+# pay for handing it to a helper thread.
+OVERLAP_MIN_EDGE_VISITS = 10_000_000
 
 
 def parse_ks(text: str) -> tuple[int, ...]:
@@ -168,6 +174,25 @@ def train_sha256(train: InteractionMatrix) -> str:
     return h.hexdigest()
 
 
+def _check_same_run(have: TrainConfig, want: TrainConfig, where: str,
+                    what: str) -> None:
+    """Refuse to continue the run have describes under want.
+
+    Every setting except RESUME_FREE (and K outside samwalker_pp) must
+    match; a mismatch is a ConfigError naming the field, since the continued
+    run would neither replay have's run nor be recorded truthfully. The
+    message names have as the `what` found at `where`.
+    """
+    saved, wanted = have.to_flat(), want.to_flat()
+    for key, (_, name, _) in FLAT_FIELDS.items():
+        if key in RESUME_FREE or (key == "k" and want.mode != "samwalker_pp"):
+            continue
+        if saved[key] != wanted[key]:
+            raise ConfigError(
+                f"{where}: {what} {name} {saved[key]!r} does not match "
+                f"{wanted[key]!r}; resume with the {what}'s settings")
+
+
 def _epoch_rng(seed: int, epoch: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(epoch + 1,)))
 
@@ -206,17 +231,19 @@ def update_theta_from_batch(factors: PreferenceFactors, batch: SampleBatch,
 
 
 def update_phi_step(graph, factors: PreferenceFactors, X: InteractionMatrix,
-                    items, model: ModelConfig, sampler: SamplerConfig) -> float:
+                    items, model: ModelConfig, sampler: SamplerConfig,
+                    tape=None) -> float:
     """Ascend the graph logits on the selected item columns; returns the
     objective value at the pre-step parameters.
 
     graph is the parameters or their fold; either way the fold's parameters
-    are updated in place, and a fold passed in is stale afterwards.
+    are updated in place, and a fold passed in is stale afterwards. tape, if
+    given, is exposure.forward_tape's result for this fold and these items.
     """
     fold = normalize_edges(graph)
     value, grads = phi_objective_and_backward(
         fold, factors, X, items, sampler.t_m, sampler.c,
-        model.eta, model.epsilon)
+        model.eta, model.epsilon, tape=tape)
     for name, grad in vars(grads).items():
         logits = getattr(fold.params, name)
         logits += model.lr_phi * grad
@@ -277,15 +304,30 @@ def _walk_epoch(state: TrainState, train: InteractionMatrix,
     engine = WalkEngine(fold, train, cfg.sampler)
     batch_size = 0
     theta_ll = 0.0
-    for _ in range(cfg.theta_steps):
-        batch = engine.sample_batch(rng)
-        batch_size += batch.size
-        theta_ll += update_theta_from_batch(state.factors, batch,
-                                            cfg.model.lr_theta,
-                                            cfg.model.l2_theta)
-    items = _select_phi_items(train.m, cfg.n_si, rng)
+    # The graph step's taped forward reads the fold and train only, so a
+    # large one runs on a helper thread beside the last theta update. Its
+    # items are drawn once the last batch is sampled: every walk draw, then
+    # the item draw, as in a serial epoch, since a theta update draws nothing.
+    visits = cfg.sampler.t_m * min(cfg.n_si, train.m) * fold.n_edges
+    overlap = visits >= OVERLAP_MIN_EDGE_VISITS
+    tape = None
+    with (ThreadPoolExecutor(max_workers=1) if overlap
+          else contextlib.nullcontext()) as helper:
+        for step in range(cfg.theta_steps):
+            batch = engine.sample_batch(rng)
+            batch_size += batch.size
+            if step + 1 == cfg.theta_steps:
+                items = _select_phi_items(train.m, cfg.n_si, rng)
+                if overlap:
+                    forward = helper.submit(forward_tape, fold, train, items,
+                                            cfg.sampler.t_m, cfg.sampler.c)
+            theta_ll += update_theta_from_batch(state.factors, batch,
+                                                cfg.model.lr_theta,
+                                                cfg.model.l2_theta)
+        if overlap:
+            tape = forward.result()
     value = update_phi_step(fold, state.factors, train, items,
-                            cfg.model, cfg.sampler)
+                            cfg.model, cfg.sampler, tape=tape)
     return {"epoch": state.epoch, "phi_objective": value,
             "batch_size": batch_size, "batch_ll": theta_ll,
             "transition_steps": engine.last_transition_steps}
@@ -309,9 +351,17 @@ def _dense_epoch(state: TrainState, Xd: np.ndarray) -> dict:
 def fit(train: InteractionMatrix, config: TrainConfig,
         social: SocialEdges | None = None, test: InteractionMatrix | None = None,
         state: TrainState | None = None, log_path: str | None = None) -> TrainState:
-    """Run config.epochs training epochs, resuming from state if given."""
+    """Run config.epochs training epochs, resuming from state if given.
+
+    A state given must have been trained with config's settings, except
+    RESUME_FREE, as load_state requires of a checkpoint; a mismatch is a
+    ConfigError naming the field. state.config then becomes config.
+    """
     if state is None:
         state = init_state(train, config, social)
+    else:
+        _check_same_run(state.config, config, "fit", "state")
+        state.config = config
     Xd = train.to_dense(DENSE_CELL_GUARD) if config.mode == "exmf_dense" else None
     log_fh = open(log_path, "a", encoding="utf-8") if log_path else None
     try:
@@ -394,15 +444,8 @@ def load_state(out_dir: str, config: TrainConfig, train: InteractionMatrix,
             or not isinstance(meta.get("train_sha256"), str)):
         raise ConfigError(f"{path}: epoch, history or train_sha256 missing "
                           "or malformed")
-    saved = TrainConfig.from_flat(meta["config"], origin=path).to_flat()
-    wanted = config.to_flat()
-    for key, (_, name, _) in FLAT_FIELDS.items():
-        if key in RESUME_FREE or (key == "k" and config.mode != "samwalker_pp"):
-            continue
-        if saved[key] != wanted[key]:
-            raise ConfigError(
-                f"{out_dir}: checkpoint {name} {saved[key]!r} does not match "
-                f"{wanted[key]!r}; resume with the checkpoint's settings")
+    _check_same_run(TrainConfig.from_flat(meta["config"], origin=path),
+                    config, out_dir, "checkpoint")
     fingerprint = train_sha256(train)
     if meta["train_sha256"] != fingerprint:
         raise ConfigError(f"{out_dir}: checkpoint was trained on other data "

@@ -263,6 +263,24 @@ class TestPhiGradient:
                      + np.sum(ex.g_term(gamma, X, 0.5, 0.001)))
         assert value == pytest.approx(want, rel=1e-10)
 
+    @pytest.mark.parametrize("family", ["social", "pseudo"])
+    def test_precomputed_tape_changes_nothing(self, family):
+        train = random_matrix(12, 15, 0.3, seed=27)
+        if family == "social":
+            params = build_social_graph(random_social(12, 3, seed=27), seed=27)
+        else:
+            params = build_pseudo_graph(train, K=3, seed=27)
+        f = random_factors(12, 15, 3, seed=27)
+        fold = normalize_edges(params)
+        items = np.array([0, 3, 4, 9, 14])
+        args = (f, train, items, 3, 0.8, 0.5, 0.001)
+        tape = ex.forward_tape(fold, train, items, 3, 0.8)
+        want_value, want = ex.phi_objective_and_backward(fold, *args)
+        value, grads = ex.phi_objective_and_backward(fold, *args, tape=tape)
+        assert value == want_value
+        for name, grad in vars(want).items():
+            assert np.array_equal(getattr(grads, name), grad), name
+
 
 class TestObjectives:
     def test_full_objective_guard(self):

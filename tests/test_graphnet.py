@@ -164,7 +164,13 @@ class TestPseudoTransition:
     def test_mix_gate_blends_bridges(self):
         train, params, mat = self.make(n=6, m=8, K=2, seed=8)
         G = np.eye(6)
-        out, (s, tc, mi, mc) = mat.apply_W_parts(G)
+        out, (s, tc, dm) = mat.apply_W_parts(G)
+        mi = mat.UI @ (mat.IU @ G)
+        mc = mat.uc_probs @ (mat.cu_probs @ G)
+        # the tape keeps the bridge outputs only as their difference
+        assert np.array_equal(s, mat.IU @ G)
+        assert np.array_equal(tc, mat.cu_probs @ G)
+        assert dm.tobytes() == (mi - mc).tobytes()
         np.testing.assert_allclose(out, mat.a[:, None] * mi
                                    + (1.0 - mat.a)[:, None] * mc, atol=1e-12)
         # both bridge outputs are row-stochastic on their own

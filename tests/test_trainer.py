@@ -348,3 +348,279 @@ class TestUniformBaseline:
         a = trainer.fit_uniform_baseline(train, quick_config(epochs=2, seed=5))
         b = trainer.fit_uniform_baseline(train, quick_config(epochs=2, seed=5))
         assert np.array_equal(a.P, b.P)
+
+
+class TestFitStateConfig:
+    def test_fit_refuses_a_state_trained_with_other_settings(self):
+        train = random_matrix(10, 13, 0.3, seed=14)
+        for change, name in ((dict(seed=5), "seed"),
+                             (dict(model=ModelConfig(d=4, lr_theta=0.9)),
+                              "lr_theta")):
+            state = trainer.init_state(train, quick_config())
+            P0 = state.factors.P.copy()
+            with pytest.raises(ConfigError, match=f"fit: state {name} "):
+                trainer.fit(train, quick_config(**change), state=state)
+            assert state.epoch == 0 and state.history == []
+            assert np.array_equal(state.factors.P, P0)
+
+    def test_fit_adopts_a_matching_config(self):
+        train = random_matrix(10, 13, 0.3, seed=14)
+        state = trainer.init_state(train, quick_config(epochs=1))
+        config = quick_config(epochs=2, eval_every=3, eval_ks=(4,))
+        out = trainer.fit(train, config, state=state)
+        assert out.config is config
+        assert out.epoch == 2
+
+
+# The serial epoch body before the graph step shared the epoch with a
+# helper thread: reference for the overlapped one, which must equal it bit
+# for bit.
+
+def serial_backward(fold, gammas, parts_list, gbar, t_m, c) -> dict:
+    from walkrec import graphnet as gn
+    from walkrec.factors import pair_dots
+    if fold.kind == "social":
+        gprobs = np.zeros_like(fold.probs)
+        for t in range(t_m, 0, -1):
+            gprobs += c * pair_dots(gbar, fold.src, gammas[t - 1], fold.targets)
+            gbar = c * fold.apply_WT(gbar)
+        return {"logits": gn.segment_softmax_vjp(fold.probs, gprobs, fold.indptr)}
+    gui = np.zeros_like(fold.ui_probs)
+    giu = np.zeros_like(fold.iu_probs)
+    guc = np.zeros_like(fold.uc_probs)
+    gcu = np.zeros_like(fold.cu_probs)
+    ga = np.zeros(fold.n, dtype=np.float64)
+    for t in range(t_m, 0, -1):
+        prev = gammas[t - 1]
+        s, tc, dm = parts_list[t - 1]
+        mbar_i = (c * fold.a)[:, None] * gbar
+        mbar_c = (c * (1.0 - fold.a))[:, None] * gbar
+        ga += c * np.einsum("uj,uj->u", gbar, dm)
+        gui += pair_dots(mbar_i, fold.ui_users, s, fold.ui_items)
+        sbar = fold.UI.T @ mbar_i
+        giu += pair_dots(sbar, fold.iu_items, prev, fold.iu_users)
+        tbar = fold.uc_probs.T @ mbar_c
+        guc += mbar_c @ tc.T
+        gcu += tbar @ prev.T
+        gbar = fold.IU.T @ sbar + fold.cu_probs.T @ tbar
+    gmix = fold.a * (1.0 - fold.a) * ga
+    gmix[fold.forced] = 0.0
+    if fold.params.freeze_mix:
+        gmix[:] = 0.0
+    return {"ui_logits": gn.segment_softmax_vjp(fold.ui_probs, gui, fold.ui_indptr),
+            "iu_logits": gn.segment_softmax_vjp(fold.iu_probs, giu, fold.iu_indptr),
+            "uc_logits": gn.row_softmax_vjp(fold.uc_probs, guc),
+            "cu_logits": gn.row_softmax_vjp(fold.cu_probs, gcu),
+            "mix_logits": gmix}
+
+
+def serial_epoch(state, train, rng) -> dict:
+    from walkrec import exposure as ex
+    from walkrec.graphnet import normalize_edges
+    from walkrec.walker import WalkEngine
+    cfg = state.config
+    sc, model = cfg.sampler, cfg.model
+    fold = normalize_edges(state.graph)
+    engine = WalkEngine(fold, train, sc)
+    batch_size = 0
+    theta_ll = 0.0
+    for _ in range(cfg.theta_steps):
+        batch = engine.sample_batch(rng)
+        batch_size += batch.size
+        theta_ll += trainer.update_theta_from_batch(state.factors, batch,
+                                                    model.lr_theta, model.l2_theta)
+    items = trainer._select_phi_items(train.m, cfg.n_si, rng)
+    Xcols = ex._item_columns(train, items)
+    gamma, gammas, parts = ex.propagate_columns(fold, Xcols, sc.t_m, sc.c,
+                                                keep_tape=True)
+    ll = ex._column_likelihood(state.factors, train, items, Xcols)
+    value = float(np.sum(gamma * ll)
+                  + np.sum(g_term(gamma, Xcols, model.eta, model.epsilon)))
+    gbar = ll + ex.g_term_grad(gamma, Xcols, model.eta, model.epsilon)
+    grads = serial_backward(fold, gammas, parts, gbar, sc.t_m, sc.c)
+    for name, grad in grads.items():
+        logits = getattr(fold.params, name)
+        logits += model.lr_phi * grad
+    return {"epoch": state.epoch, "phi_objective": value,
+            "batch_size": batch_size, "batch_ll": theta_ll,
+            "transition_steps": engine.last_transition_steps}
+
+
+def serial_fit(train, config, social):
+    state = trainer.init_state(train, config, social)
+    for _ in range(config.epochs):
+        record = serial_epoch(state, train, trainer._epoch_rng(config.seed,
+                                                               state.epoch))
+        state.epoch += 1
+        state.history.append(record)
+    return state
+
+
+OVERLAP_CASES = [("samwalker", "none"), ("samwalker_pp", "none"),
+                 ("samwalker_pp", "no_item"), ("samwalker_pp", "no_community")]
+
+
+class TestOverlappedEpoch:
+    @pytest.mark.parametrize("min_visits", [0, trainer.OVERLAP_MIN_EDGE_VISITS])
+    @pytest.mark.parametrize("theta_steps", [1, 2])
+    @pytest.mark.parametrize("mode,ablation", OVERLAP_CASES)
+    def test_fit_equals_the_serial_epoch(self, monkeypatch, mode, ablation,
+                                         theta_steps, min_visits):
+        monkeypatch.setattr(trainer, "OVERLAP_MIN_EDGE_VISITS", min_visits)
+        train = random_matrix(40, 60, 0.15, seed=15)
+        social = random_social(40, 4, seed=15)
+        config = quick_config(mode=mode, ablation=ablation,
+                              theta_steps=theta_steps, n_si=25, epochs=3)
+        want = serial_fit(train, config, social)
+        got = trainer.fit(train, config, social=social)
+        assert np.array_equal(got.factors.P, want.factors.P)
+        assert np.array_equal(got.factors.Q, want.factors.Q)
+        for name, arr in vars(want.graph).items():
+            if isinstance(arr, np.ndarray):
+                assert np.array_equal(getattr(got.graph, name), arr), name
+        assert got.history == want.history
+
+
+    def test_pseudo_sweep_equals_serial_under_rapid_switching(self):
+        # a lost or reordered edge-sum update would show as a changed bit
+        import sys
+        from walkrec import exposure as ex
+        from walkrec.graphnet import build_pseudo_graph, normalize_edges
+        from tests.conftest import random_factors
+        train = random_matrix(60, 80, 0.15, seed=17)
+        fold = normalize_edges(build_pseudo_graph(train, K=3, seed=17))
+        f = random_factors(60, 80, 4, seed=17)
+        items = np.arange(0, 80, 2)
+        gamma, gammas, parts = ex.forward_tape(fold, train, items, 4, 0.8)
+        Xcols = gammas[0]
+        gbar = (ex._column_likelihood(f, train, items, Xcols)
+                + ex.g_term_grad(gamma, Xcols, 0.5, 0.001))
+        want = serial_backward(fold, gammas, parts, gbar, 4, 0.8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                got = fold.backward(gammas, parts, gbar, 4, 0.8)
+                for name, grad in want.items():
+                    assert np.array_equal(getattr(got, name), grad), name
+        finally:
+            sys.setswitchinterval(interval)
+
+
+class Boom(Exception):
+    pass
+
+
+def _on_helper() -> bool:
+    import threading
+    return threading.current_thread() is not threading.main_thread()
+
+
+class TestHelperThread:
+    """The graph step's helper work fails loudly and never outlives fit."""
+
+    @pytest.fixture(autouse=True)
+    def overlap_every_forward(self, monkeypatch):
+        monkeypatch.setattr(trainer, "OVERLAP_MIN_EDGE_VISITS", 0)
+
+    @staticmethod
+    def fit_case(mode):
+        train = random_matrix(20, 30, 0.2, seed=16)
+        social = random_social(20, 3, seed=16)
+        return lambda: trainer.fit(train, quick_config(mode=mode, epochs=2),
+                                   social=social)
+
+    @staticmethod
+    def helper_threads(before):
+        import threading
+        return [t for t in threading.enumerate()
+                if t not in before and t.is_alive()]
+
+    @pytest.mark.parametrize("mode,target", [
+        ("samwalker", "exposure.propagate_columns"),
+        ("samwalker_pp", "exposure.propagate_columns"),
+        ("samwalker_pp", "graphnet.pair_dots"),
+    ])
+    def test_helper_exception_comes_out_of_fit(self, monkeypatch, mode, target):
+        import importlib
+        import threading
+        module_name, name = target.split(".")
+        module = importlib.import_module(f"walkrec.{module_name}")
+        real = getattr(module, name)
+        raised = []
+
+        def failing(*args, **kwargs):
+            if _on_helper():
+                raised.append(Boom(target))
+                raise raised[-1]
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, failing)
+        before = threading.enumerate()
+        with pytest.raises(Boom) as info:
+            self.fit_case(mode)()
+        assert info.value is raised[0]
+        assert self.helper_threads(before) == []
+
+    @pytest.mark.parametrize("mode,stage", [("samwalker", "forward"),
+                                            ("samwalker_pp", "forward"),
+                                            ("samwalker_pp", "backward")])
+    def test_helper_work_ends_before_a_failing_fit_returns(self, monkeypatch,
+                                                           mode, stage):
+        # the helper is still busy when the caller's own step raises; fit
+        # must wait for it before the error comes out
+        import threading
+        import time
+        from walkrec import exposure, graphnet
+        module, name = ((exposure, "propagate_columns") if stage == "forward"
+                        else (graphnet, "pair_dots"))
+        real = getattr(module, name)
+        finished = []
+
+        def failing(*args, **kwargs):
+            raise Boom(stage)
+
+        def slow(*args, **kwargs):
+            if not _on_helper():
+                # the pseudo sweep's item->user edge sums, on the caller's
+                # thread while the helper is still busy
+                failing()
+            out = real(*args, **kwargs)
+            time.sleep(0.2)
+            finished.append(True)
+            return out
+
+        monkeypatch.setattr(module, name, slow)
+        if stage == "forward":
+            monkeypatch.setattr(trainer, "update_theta_from_batch", failing)
+        before = threading.enumerate()
+        with pytest.raises(Boom):
+            self.fit_case(mode)()
+        assert finished == [True]
+        assert self.helper_threads(before) == []
+
+    @pytest.mark.parametrize("mode", ["samwalker", "samwalker_pp"])
+    def test_forward_runs_inline_below_the_visit_floor(self, monkeypatch, mode):
+        from walkrec import exposure
+        real = exposure.propagate_columns
+        where = []
+
+        def recording(*args, **kwargs):
+            where.append(_on_helper())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(exposure, "propagate_columns", recording)
+        self.fit_case(mode)()
+        assert where == [True, True]
+        where.clear()
+        monkeypatch.setattr(trainer, "OVERLAP_MIN_EDGE_VISITS", 10**12)
+        self.fit_case(mode)()
+        assert where == [False, False]
+
+    def test_no_helper_thread_left_after_fit(self):
+        import threading
+        before = threading.enumerate()
+        for mode in ("samwalker", "samwalker_pp"):
+            state = self.fit_case(mode)()
+            assert state.epoch == 2
+        assert self.helper_threads(before) == []
