@@ -13,23 +13,14 @@ with each phi block row-softmaxed. W is never materialized at scale: the
 social W and the pseudo bridges (user->item UI, item->user IU) are scipy
 CSR matrices. normalize_edges folds the logits into a frozen transition,
 and both families' folds share one interface: apply_W / apply_WT map a
-column block (n x J) through W or its transpose in O(n_edges * J), backward
+column block (n x J) through W or its transpose in O(edges * J), backward
 pulls a propagation gradient back to the logits, and step draws one walk
 transition per user. No other module needs to know which family it holds.
-
-The pseudo backward sweep hands its user->item edge sums (gui) to one
-helper thread, a step at a time, while the caller computes the rest of that
-step, so the sweep can use two cores. The helper reads only arrays nothing
-writes during the step, adds into an accumulator only it touches, and is
-joined before the next step starts, so the result is the serial sweep's bit
-for bit. The social sweep stays serial: beside its edge sums a step has one
-small sparse product, too little to hide the handoff.
 """
 
 from __future__ import annotations
 
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -70,12 +61,6 @@ def segment_softmax_vjp(probs: np.ndarray, grad_probs: np.ndarray,
     pg = probs * grad_probs
     dot = np.repeat(np.add.reduceat(pg, indptr[:-1][nz]), counts[nz])
     return pg - probs * dot
-
-
-def _add_pair_dots(acc: np.ndarray, A: np.ndarray, rows, B: np.ndarray,
-                   cols) -> None:
-    """acc += pair_dots(A, rows, B, cols), in place."""
-    acc += pair_dots(A, rows, B, cols)
 
 
 def row_softmax(logits: np.ndarray) -> np.ndarray:
@@ -263,7 +248,6 @@ class SocialTransition:
         self.probs = segment_softmax(params.logits, ed.indptr)
         self.W = sparse.csr_array((self.probs, self.targets, self.indptr),
                                   shape=(ed.n, ed.n))
-        self.n_edges = int(self.targets.shape[0])
 
     def apply_W(self, G: np.ndarray) -> np.ndarray:
         return self.W @ G
@@ -324,8 +308,6 @@ class PseudoTransition:
                                    shape=(self.n, self.m))
         self.IU = sparse.csr_array((self.iu_probs, self.iu_users, self.iu_indptr),
                                    shape=(self.m, self.n))
-        # user->item, item->user, user->community and community->user
-        self.n_edges = 2 * tr.nnz + 2 * self.n * self.K
 
     def apply_W_parts(self, G: np.ndarray):
         """W G along with the bridge intermediates needed for backprop:
@@ -354,22 +336,19 @@ class PseudoTransition:
         guc = np.zeros_like(self.uc_probs)
         gcu = np.zeros_like(self.cu_probs)
         ga = np.zeros(self.n, dtype=np.float64)
-        with ThreadPoolExecutor(max_workers=1) as helper:
-            for t in range(t_m, 0, -1):
-                prev = gammas[t - 1]
-                s, tc, dm = parts_list[t - 1]
-                mbar_i = (c * self.a)[:, None] * gbar
-                mbar_c = (c * (1.0 - self.a))[:, None] * gbar
-                ga += c * np.einsum("uj,uj->u", gbar, dm)
-                edge_sums = helper.submit(_add_pair_dots, gui, mbar_i,
-                                          self.ui_users, s, self.ui_items)
-                sbar = self.UI.T @ mbar_i
-                giu += pair_dots(sbar, self.iu_items, prev, self.iu_users)
-                tbar = self.uc_probs.T @ mbar_c
-                guc += mbar_c @ tc.T
-                gcu += tbar @ prev.T
-                gbar = self.IU.T @ sbar + self.cu_probs.T @ tbar
-                edge_sums.result()
+        for t in range(t_m, 0, -1):
+            prev = gammas[t - 1]
+            s, tc, dm = parts_list[t - 1]
+            mbar_i = (c * self.a)[:, None] * gbar
+            mbar_c = (c * (1.0 - self.a))[:, None] * gbar
+            ga += c * np.einsum("uj,uj->u", gbar, dm)
+            gui += pair_dots(mbar_i, self.ui_users, s, self.ui_items)
+            sbar = self.UI.T @ mbar_i
+            giu += pair_dots(sbar, self.iu_items, prev, self.iu_users)
+            tbar = self.uc_probs.T @ mbar_c
+            guc += mbar_c @ tc.T
+            gcu += tbar @ prev.T
+            gbar = self.IU.T @ sbar + self.cu_probs.T @ tbar
         gmix = self.a * (1.0 - self.a) * ga
         gmix[self.forced] = 0.0
         if self.params.freeze_mix:

@@ -18,7 +18,6 @@ checkpoint replays the exact run that uninterrupted training would produce.
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import json
 import logging
@@ -45,10 +44,6 @@ _logger = logging.getLogger(__name__)
 MODES = ("samwalker", "samwalker_pp", "exmf_dense")
 ABLATIONS = ("none", "no_item", "no_community")
 DENSE_CELL_GUARD = 10_000_000
-# A graph-step forward of fewer edge visits (t_m x item columns x fold
-# edges) runs inline: at about 0.7 ms per million visits it is too small to
-# pay for handing it to a helper thread.
-OVERLAP_MIN_EDGE_VISITS = 10_000_000
 
 
 def parse_ks(text: str) -> tuple[int, ...]:
@@ -304,28 +299,22 @@ def _walk_epoch(state: TrainState, train: InteractionMatrix,
     engine = WalkEngine(fold, train, cfg.sampler)
     batch_size = 0
     theta_ll = 0.0
-    # The graph step's taped forward reads the fold and train only, so a
-    # large one runs on a helper thread beside the last theta update. Its
-    # items are drawn once the last batch is sampled: every walk draw, then
-    # the item draw, as in a serial epoch, since a theta update draws nothing.
-    visits = cfg.sampler.t_m * min(cfg.n_si, train.m) * fold.n_edges
-    overlap = visits >= OVERLAP_MIN_EDGE_VISITS
-    tape = None
-    with (ThreadPoolExecutor(max_workers=1) if overlap
-          else contextlib.nullcontext()) as helper:
+    # The graph step's taped forward reads the fold and train only, so it
+    # runs on a helper thread beside the last theta update. Its items are
+    # drawn once the last batch is sampled: every walk draw, then the item
+    # draw, as in a serial epoch, since a theta update draws nothing.
+    with ThreadPoolExecutor(max_workers=1) as helper:
         for step in range(cfg.theta_steps):
             batch = engine.sample_batch(rng)
             batch_size += batch.size
             if step + 1 == cfg.theta_steps:
                 items = _select_phi_items(train.m, cfg.n_si, rng)
-                if overlap:
-                    forward = helper.submit(forward_tape, fold, train, items,
-                                            cfg.sampler.t_m, cfg.sampler.c)
+                forward = helper.submit(forward_tape, fold, train, items,
+                                        cfg.sampler.t_m, cfg.sampler.c)
             theta_ll += update_theta_from_batch(state.factors, batch,
                                                 cfg.model.lr_theta,
                                                 cfg.model.l2_theta)
-        if overlap:
-            tape = forward.result()
+        tape = forward.result()
     value = update_phi_step(fold, state.factors, train, items,
                             cfg.model, cfg.sampler, tape=tape)
     return {"epoch": state.epoch, "phi_objective": value,

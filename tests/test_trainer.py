@@ -372,75 +372,27 @@ class TestFitStateConfig:
         assert out.epoch == 2
 
 
-# The serial epoch body before the graph step shared the epoch with a
-# helper thread: reference for the overlapped one, which must equal it bit
-# for bit.
-
-def serial_backward(fold, gammas, parts_list, gbar, t_m, c) -> dict:
-    from walkrec import graphnet as gn
-    from walkrec.factors import pair_dots
-    if fold.kind == "social":
-        gprobs = np.zeros_like(fold.probs)
-        for t in range(t_m, 0, -1):
-            gprobs += c * pair_dots(gbar, fold.src, gammas[t - 1], fold.targets)
-            gbar = c * fold.apply_WT(gbar)
-        return {"logits": gn.segment_softmax_vjp(fold.probs, gprobs, fold.indptr)}
-    gui = np.zeros_like(fold.ui_probs)
-    giu = np.zeros_like(fold.iu_probs)
-    guc = np.zeros_like(fold.uc_probs)
-    gcu = np.zeros_like(fold.cu_probs)
-    ga = np.zeros(fold.n, dtype=np.float64)
-    for t in range(t_m, 0, -1):
-        prev = gammas[t - 1]
-        s, tc, dm = parts_list[t - 1]
-        mbar_i = (c * fold.a)[:, None] * gbar
-        mbar_c = (c * (1.0 - fold.a))[:, None] * gbar
-        ga += c * np.einsum("uj,uj->u", gbar, dm)
-        gui += pair_dots(mbar_i, fold.ui_users, s, fold.ui_items)
-        sbar = fold.UI.T @ mbar_i
-        giu += pair_dots(sbar, fold.iu_items, prev, fold.iu_users)
-        tbar = fold.uc_probs.T @ mbar_c
-        guc += mbar_c @ tc.T
-        gcu += tbar @ prev.T
-        gbar = fold.IU.T @ sbar + fold.cu_probs.T @ tbar
-    gmix = fold.a * (1.0 - fold.a) * ga
-    gmix[fold.forced] = 0.0
-    if fold.params.freeze_mix:
-        gmix[:] = 0.0
-    return {"ui_logits": gn.segment_softmax_vjp(fold.ui_probs, gui, fold.ui_indptr),
-            "iu_logits": gn.segment_softmax_vjp(fold.iu_probs, giu, fold.iu_indptr),
-            "uc_logits": gn.row_softmax_vjp(fold.uc_probs, guc),
-            "cu_logits": gn.row_softmax_vjp(fold.cu_probs, gcu),
-            "mix_logits": gmix}
-
+# The serial epoch body before the graph step's forward shared the epoch
+# with a helper thread: reference for the overlapped one, which must equal
+# it bit for bit.
 
 def serial_epoch(state, train, rng) -> dict:
-    from walkrec import exposure as ex
     from walkrec.graphnet import normalize_edges
     from walkrec.walker import WalkEngine
     cfg = state.config
-    sc, model = cfg.sampler, cfg.model
     fold = normalize_edges(state.graph)
-    engine = WalkEngine(fold, train, sc)
+    engine = WalkEngine(fold, train, cfg.sampler)
     batch_size = 0
     theta_ll = 0.0
     for _ in range(cfg.theta_steps):
         batch = engine.sample_batch(rng)
         batch_size += batch.size
         theta_ll += trainer.update_theta_from_batch(state.factors, batch,
-                                                    model.lr_theta, model.l2_theta)
+                                                    cfg.model.lr_theta,
+                                                    cfg.model.l2_theta)
     items = trainer._select_phi_items(train.m, cfg.n_si, rng)
-    Xcols = ex._item_columns(train, items)
-    gamma, gammas, parts = ex.propagate_columns(fold, Xcols, sc.t_m, sc.c,
-                                                keep_tape=True)
-    ll = ex._column_likelihood(state.factors, train, items, Xcols)
-    value = float(np.sum(gamma * ll)
-                  + np.sum(g_term(gamma, Xcols, model.eta, model.epsilon)))
-    gbar = ll + ex.g_term_grad(gamma, Xcols, model.eta, model.epsilon)
-    grads = serial_backward(fold, gammas, parts, gbar, sc.t_m, sc.c)
-    for name, grad in grads.items():
-        logits = getattr(fold.params, name)
-        logits += model.lr_phi * grad
+    value = trainer.update_phi_step(fold, state.factors, train, items,
+                                    cfg.model, cfg.sampler)
     return {"epoch": state.epoch, "phi_objective": value,
             "batch_size": batch_size, "batch_ll": theta_ll,
             "transition_steps": engine.last_transition_steps}
@@ -456,53 +408,46 @@ def serial_fit(train, config, social):
     return state
 
 
+def assert_same_run(got, want):
+    assert np.array_equal(got.factors.P, want.factors.P)
+    assert np.array_equal(got.factors.Q, want.factors.Q)
+    for name, arr in vars(want.graph).items():
+        if isinstance(arr, np.ndarray):
+            assert np.array_equal(getattr(got.graph, name), arr), name
+    assert got.history == want.history
+
+
 OVERLAP_CASES = [("samwalker", "none"), ("samwalker_pp", "none"),
                  ("samwalker_pp", "no_item"), ("samwalker_pp", "no_community")]
 
 
 class TestOverlappedEpoch:
-    @pytest.mark.parametrize("min_visits", [0, trainer.OVERLAP_MIN_EDGE_VISITS])
-    @pytest.mark.parametrize("theta_steps", [1, 2])
-    @pytest.mark.parametrize("mode,ablation", OVERLAP_CASES)
-    def test_fit_equals_the_serial_epoch(self, monkeypatch, mode, ablation,
-                                         theta_steps, min_visits):
-        monkeypatch.setattr(trainer, "OVERLAP_MIN_EDGE_VISITS", min_visits)
+    @staticmethod
+    def case(mode, ablation, theta_steps):
         train = random_matrix(40, 60, 0.15, seed=15)
         social = random_social(40, 4, seed=15)
         config = quick_config(mode=mode, ablation=ablation,
                               theta_steps=theta_steps, n_si=25, epochs=3)
+        return train, config, social
+
+    @pytest.mark.parametrize("theta_steps", [1, 2])
+    @pytest.mark.parametrize("mode,ablation", OVERLAP_CASES)
+    def test_fit_equals_the_serial_epoch(self, mode, ablation, theta_steps):
+        train, config, social = self.case(mode, ablation, theta_steps)
         want = serial_fit(train, config, social)
-        got = trainer.fit(train, config, social=social)
-        assert np.array_equal(got.factors.P, want.factors.P)
-        assert np.array_equal(got.factors.Q, want.factors.Q)
-        for name, arr in vars(want.graph).items():
-            if isinstance(arr, np.ndarray):
-                assert np.array_equal(getattr(got.graph, name), arr), name
-        assert got.history == want.history
+        assert_same_run(trainer.fit(train, config, social=social), want)
 
-
-    def test_pseudo_sweep_equals_serial_under_rapid_switching(self):
-        # a lost or reordered edge-sum update would show as a changed bit
+    def test_fit_equals_serial_under_rapid_switching(self):
+        # a write by the theta step into anything the forward reads would
+        # show as a changed bit once the two threads interleave finely
         import sys
-        from walkrec import exposure as ex
-        from walkrec.graphnet import build_pseudo_graph, normalize_edges
-        from tests.conftest import random_factors
-        train = random_matrix(60, 80, 0.15, seed=17)
-        fold = normalize_edges(build_pseudo_graph(train, K=3, seed=17))
-        f = random_factors(60, 80, 4, seed=17)
-        items = np.arange(0, 80, 2)
-        gamma, gammas, parts = ex.forward_tape(fold, train, items, 4, 0.8)
-        Xcols = gammas[0]
-        gbar = (ex._column_likelihood(f, train, items, Xcols)
-                + ex.g_term_grad(gamma, Xcols, 0.5, 0.001))
-        want = serial_backward(fold, gammas, parts, gbar, 4, 0.8)
+        train, config, social = self.case("samwalker_pp", "none", 1)
+        want = serial_fit(train, config, social)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            for _ in range(20):
-                got = fold.backward(gammas, parts, gbar, 4, 0.8)
-                for name, grad in want.items():
-                    assert np.array_equal(getattr(got, name), grad), name
+            for _ in range(5):
+                assert_same_run(trainer.fit(train, config, social=social), want)
         finally:
             sys.setswitchinterval(interval)
 
@@ -519,10 +464,6 @@ def _on_helper() -> bool:
 class TestHelperThread:
     """The graph step's helper work fails loudly and never outlives fit."""
 
-    @pytest.fixture(autouse=True)
-    def overlap_every_forward(self, monkeypatch):
-        monkeypatch.setattr(trainer, "OVERLAP_MIN_EDGE_VISITS", 0)
-
     @staticmethod
     def fit_case(mode):
         train = random_matrix(20, 30, 0.2, seed=16)
@@ -536,86 +477,53 @@ class TestHelperThread:
         return [t for t in threading.enumerate()
                 if t not in before and t.is_alive()]
 
-    @pytest.mark.parametrize("mode,target", [
-        ("samwalker", "exposure.propagate_columns"),
-        ("samwalker_pp", "exposure.propagate_columns"),
-        ("samwalker_pp", "graphnet.pair_dots"),
-    ])
-    def test_helper_exception_comes_out_of_fit(self, monkeypatch, mode, target):
-        import importlib
+    @pytest.mark.parametrize("mode", ["samwalker", "samwalker_pp"])
+    def test_helper_exception_comes_out_of_fit(self, monkeypatch, mode):
         import threading
-        module_name, name = target.split(".")
-        module = importlib.import_module(f"walkrec.{module_name}")
-        real = getattr(module, name)
+        from walkrec import exposure
+        real = exposure.propagate_columns
         raised = []
 
         def failing(*args, **kwargs):
             if _on_helper():
-                raised.append(Boom(target))
+                raised.append(Boom(mode))
                 raise raised[-1]
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(module, name, failing)
+        monkeypatch.setattr(exposure, "propagate_columns", failing)
         before = threading.enumerate()
         with pytest.raises(Boom) as info:
             self.fit_case(mode)()
         assert info.value is raised[0]
         assert self.helper_threads(before) == []
 
-    @pytest.mark.parametrize("mode,stage", [("samwalker", "forward"),
-                                            ("samwalker_pp", "forward"),
-                                            ("samwalker_pp", "backward")])
+    @pytest.mark.parametrize("mode", ["samwalker", "samwalker_pp"])
     def test_helper_work_ends_before_a_failing_fit_returns(self, monkeypatch,
-                                                           mode, stage):
-        # the helper is still busy when the caller's own step raises; fit
+                                                           mode):
+        # the helper is still busy when the caller's theta step raises; fit
         # must wait for it before the error comes out
         import threading
         import time
-        from walkrec import exposure, graphnet
-        module, name = ((exposure, "propagate_columns") if stage == "forward"
-                        else (graphnet, "pair_dots"))
-        real = getattr(module, name)
+        from walkrec import exposure
+        real = exposure.propagate_columns
         finished = []
 
         def failing(*args, **kwargs):
-            raise Boom(stage)
+            raise Boom(mode)
 
         def slow(*args, **kwargs):
-            if not _on_helper():
-                # the pseudo sweep's item->user edge sums, on the caller's
-                # thread while the helper is still busy
-                failing()
             out = real(*args, **kwargs)
             time.sleep(0.2)
-            finished.append(True)
+            finished.append(_on_helper())
             return out
 
-        monkeypatch.setattr(module, name, slow)
-        if stage == "forward":
-            monkeypatch.setattr(trainer, "update_theta_from_batch", failing)
+        monkeypatch.setattr(exposure, "propagate_columns", slow)
+        monkeypatch.setattr(trainer, "update_theta_from_batch", failing)
         before = threading.enumerate()
         with pytest.raises(Boom):
             self.fit_case(mode)()
         assert finished == [True]
         assert self.helper_threads(before) == []
-
-    @pytest.mark.parametrize("mode", ["samwalker", "samwalker_pp"])
-    def test_forward_runs_inline_below_the_visit_floor(self, monkeypatch, mode):
-        from walkrec import exposure
-        real = exposure.propagate_columns
-        where = []
-
-        def recording(*args, **kwargs):
-            where.append(_on_helper())
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(exposure, "propagate_columns", recording)
-        self.fit_case(mode)()
-        assert where == [True, True]
-        where.clear()
-        monkeypatch.setattr(trainer, "OVERLAP_MIN_EDGE_VISITS", 10**12)
-        self.fit_case(mode)()
-        assert where == [False, False]
 
     def test_no_helper_thread_left_after_fit(self):
         import threading
