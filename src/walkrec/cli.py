@@ -275,9 +275,8 @@ def cmd_bench_tm_sweep(args: argparse.Namespace) -> int:
         config = _bench_config(args, t_m=t_m)
         state = trainer.fit(train, config, social=social)
         report = metrics.evaluate(state.factors, train, test)
-        for metric, k, value in report.rows():
-            rows.append((t_m, metric if k is None else f"{metric}@{k}",
-                         f"{value:.6f}"))
+        for name, value in report.as_dict().items():
+            rows.append((t_m, name, f"{value:.6f}"))
     _write_rows(args.out, "t_m,metric,value", rows)
     return 0
 
@@ -292,9 +291,8 @@ def cmd_bench_ablation(args: argparse.Namespace) -> int:
         state = trainer.fit(train, config)
         report = metrics.evaluate(state.factors, train, test)
         label = "full" if variant == "none" else variant
-        for metric, k, value in report.rows():
-            rows.append((label, metric if k is None else f"{metric}@{k}",
-                         f"{value:.6f}"))
+        for name, value in report.as_dict().items():
+            rows.append((label, name, f"{value:.6f}"))
     _write_rows(args.out, "variant,metric,value", rows)
     return 0
 

@@ -423,7 +423,7 @@ def read_pairs(path: str, n: int | None = None, m: int | None = None) -> Interac
     """Read a dense-id pair file written by write_pairs (no remapping)."""
     us, its, line_nos = [], [], []
     for line_no, line in _data_lines(path):
-        fields = line.split("\t" if "\t" in line else ",")
+        fields = line.split(_sniff_delimiter(line))
         if len(fields) < 2:
             raise ParseError(path, line_no, "expected user and item fields")
         us.append(fields[0])

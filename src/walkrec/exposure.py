@@ -27,8 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from .corpus import InteractionMatrix
-from .errors import GuardError
-from .factors import PreferenceFactors, TAU, sigmoid
+from .factors import PreferenceFactors, bern_ll, sigmoid
 from .graphnet import normalize_edges
 
 GAMMA_CLAMP = 1e-12
@@ -119,31 +118,6 @@ def propagate_forward(graph, X: InteractionMatrix, item: int, t_m: int,
     return gamma[:, 0]
 
 
-def _column_likelihood(factors: PreferenceFactors, X: InteractionMatrix,
-                       items: np.ndarray, Xcols: np.ndarray) -> np.ndarray:
-    sig = np.clip(sigmoid(factors.P @ factors.Q[items].T), TAU, 1.0 - TAU)
-    return Xcols * np.log(sig) + (1.0 - Xcols) * np.log1p(-sig)
-
-
-def elbo_value(graph, factors: PreferenceFactors, X: InteractionMatrix,
-               items, t_m: int, c: float, eta: float, epsilon: float) -> float:
-    """Objective V over the given item columns at the current parameters."""
-    items = np.asarray(items, dtype=np.int64)
-    Xcols = _item_columns(X, items)
-    gamma, _, _ = propagate_columns(graph, Xcols, t_m, c)
-    ll = _column_likelihood(factors, X, items, Xcols)
-    return float(np.sum(gamma * ll) + np.sum(g_term(gamma, Xcols, eta, epsilon)))
-
-
-def full_objective(graph, factors: PreferenceFactors, X: InteractionMatrix,
-                   t_m: int, c: float, eta: float, epsilon: float,
-                   max_cells: int = 10_000_000) -> float:
-    """V over every item column. Guarded; for monitoring and tests."""
-    if X.n * X.m > max_cells:
-        raise GuardError(f"full objective on {X.n}x{X.m} exceeds {max_cells} cells")
-    return elbo_value(graph, factors, X, np.arange(X.m), t_m, c, eta, epsilon)
-
-
 def phi_objective_and_backward(params, factors: PreferenceFactors,
                                X: InteractionMatrix, items, t_m: int, c: float,
                                eta: float, epsilon: float, tape=None):
@@ -165,7 +139,7 @@ def phi_objective_and_backward(params, factors: PreferenceFactors,
         tape = forward_tape(mat, X, items, t_m, c)
     gamma, gammas, parts_list = tape
     Xcols = gammas[0]
-    ll = _column_likelihood(factors, X, items, Xcols)
+    ll = bern_ll(Xcols, sigmoid(factors.P @ factors.Q[items].T))
     value = float(np.sum(gamma * ll) + np.sum(g_term(gamma, Xcols, eta, epsilon)))
     gbar = ll + g_term_grad(gamma, Xcols, eta, epsilon)
     return value, mat.backward(gammas, parts_list, gbar, t_m, c)

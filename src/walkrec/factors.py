@@ -169,29 +169,54 @@ def accumulate_pair_gradients(factors: PreferenceFactors, users, items,
     return S @ factors.Q, S.T @ factors.P
 
 
-def save_factors(path: str, factors: PreferenceFactors) -> None:
-    """Write the binary factors checkpoint (all integers little-endian u64)."""
-    n, m, d = factors.n, factors.m, factors.d
+def write_checkpoint(path: str, magic: bytes, header, arrays) -> None:
+    """Write the binary checkpoint layout: magic, the header as little-endian
+    u64 (version first), then each array as little-endian float64."""
     with open(path, "wb") as fh:
-        fh.write(FACTORS_MAGIC)
-        fh.write(struct.pack("<4Q", FACTORS_VERSION, n, m, d))
-        fh.write(np.ascontiguousarray(factors.P, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(factors.Q, dtype="<f8").tobytes())
+        fh.write(magic)
+        fh.write(struct.pack(f"<{len(header)}Q", *header))
+        for arr in arrays:
+            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+
+
+def read_checkpoint(path: str, magic: bytes, version: int, fields: int,
+                    what: str) -> tuple[tuple[int, ...], np.ndarray]:
+    """Read write_checkpoint's layout with a header of `fields` u64.
+
+    Returns the header after the version and the float64 payload. A file
+    that cannot be read, has another magic or version, or whose payload is
+    not whole float64 values raises ParseError naming path; what names the
+    checkpoint kind in the message.
+    """
+    try:
+        with open(path, "rb") as fh:
+            blob = fh.read()
+    except OSError as e:
+        raise ParseError(path, 0, str(e)) from None
+    start = len(magic) + 8 * fields
+    if len(blob) < start or blob[:len(magic)] != magic:
+        raise ParseError(path, 0, f"not a {what} checkpoint")
+    header = struct.unpack(f"<{fields}Q", blob[len(magic):start])
+    if header[0] != version:
+        raise ParseError(path, 0, f"unsupported checkpoint version {header[0]}")
+    if (len(blob) - start) % 8:
+        raise ParseError(path, 0, f"truncated {what} checkpoint")
+    payload = np.frombuffer(blob, dtype="<f8", offset=start)
+    return header[1:], payload.astype(np.float64)
+
+
+def save_factors(path: str, factors: PreferenceFactors) -> None:
+    """Write the binary factors checkpoint; the header is (version, n, m, d)."""
+    write_checkpoint(path, FACTORS_MAGIC,
+                     (FACTORS_VERSION, factors.n, factors.m, factors.d),
+                     (factors.P, factors.Q))
 
 
 def load_factors(path: str) -> PreferenceFactors:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    header = len(FACTORS_MAGIC) + 32
-    if len(blob) < header or blob[:len(FACTORS_MAGIC)] != FACTORS_MAGIC:
-        raise ParseError(path, 0, "not a factors checkpoint")
-    version, n, m, d = struct.unpack("<4Q", blob[len(FACTORS_MAGIC):header])
-    if version != FACTORS_VERSION:
-        raise ParseError(path, 0, f"unsupported checkpoint version {version}")
-    want = header + 8 * (n + m) * d
-    if len(blob) != want:
-        raise ParseError(path, 0, f"expected {want} bytes, found {len(blob)}")
-    flat = np.frombuffer(blob, dtype="<f8", offset=header)
-    P = flat[:n * d].reshape(n, d).astype(np.float64)
-    Q = flat[n * d:].reshape(m, d).astype(np.float64)
-    return PreferenceFactors(P=P, Q=Q)
+    (n, m, d), flat = read_checkpoint(path, FACTORS_MAGIC, FACTORS_VERSION, 4,
+                                      "factors")
+    if flat.shape[0] != (n + m) * d:
+        raise ParseError(path, 0, f"expected {(n + m) * d} values, "
+                         f"found {flat.shape[0]}")
+    return PreferenceFactors(P=flat[:n * d].reshape(n, d),
+                             Q=flat[n * d:].reshape(m, d))

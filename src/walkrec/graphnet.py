@@ -12,15 +12,15 @@ gate a_u = sigmoid(mix_logit_u), so
 with each phi block row-softmaxed. W is never materialized at scale: the
 social W and the pseudo bridges (user->item UI, item->user IU) are scipy
 CSR matrices. normalize_edges folds the logits into a frozen transition,
-and both families' folds share one interface: apply_W / apply_WT map a
-column block (n x J) through W or its transpose in O(edges * J), backward
-pulls a propagation gradient back to the logits, and step draws one walk
-transition per user. No other module needs to know which family it holds.
+and both families' folds share one interface: apply_W_parts maps a column
+block (n x J) through W in O(edges * J) and returns what the backward
+needs, backward pulls a propagation gradient back to the logits (applying
+W's transpose as it goes), and step draws one walk transition per user.
+No other module needs to know which family it holds.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -29,7 +29,7 @@ from scipy import sparse
 
 from .corpus import InteractionMatrix, SocialEdges
 from .errors import ConfigError, GuardError, ParseError
-from .factors import pair_dots, sigmoid
+from .factors import pair_dots, read_checkpoint, sigmoid, write_checkpoint
 
 GRAPH_MAGIC = b"PROPGRPH"
 GRAPH_VERSION = 1
@@ -104,7 +104,6 @@ class PseudoGraphParams:
     uc_logits: np.ndarray
     cu_logits: np.ndarray
     mix_logits: np.ndarray
-    freeze_mix: bool = False
 
     @property
     def n(self) -> int:
@@ -249,15 +248,9 @@ class SocialTransition:
         self.W = sparse.csr_array((self.probs, self.targets, self.indptr),
                                   shape=(ed.n, ed.n))
 
-    def apply_W(self, G: np.ndarray) -> np.ndarray:
-        return self.W @ G
-
     def apply_W_parts(self, G: np.ndarray):
         """W G; the social backward needs no intermediates."""
         return self.W @ G, None
-
-    def apply_WT(self, G: np.ndarray) -> np.ndarray:
-        return self.W.T @ G
 
     def backward(self, gammas, parts_list, gbar, t_m: int,
                  c: float) -> SocialGraphGrads:
@@ -265,7 +258,7 @@ class SocialTransition:
         gprobs = np.zeros_like(self.probs)
         for t in range(t_m, 0, -1):
             gprobs += c * pair_dots(gbar, self.src, gammas[t - 1], self.targets)
-            gbar = c * self.apply_WT(gbar)
+            gbar = c * (self.W.T @ gbar)
         return SocialGraphGrads(
             logits=segment_softmax_vjp(self.probs, gprobs, self.indptr))
 
@@ -320,14 +313,6 @@ class PseudoTransition:
         out = self.a[:, None] * mi + (1.0 - self.a)[:, None] * mc
         return out, (s, tc, mi - mc)
 
-    def apply_W(self, G: np.ndarray) -> np.ndarray:
-        return self.apply_W_parts(G)[0]
-
-    def apply_WT(self, G: np.ndarray) -> np.ndarray:
-        v = self.UI.T @ (self.a[:, None] * G)
-        t = self.uc_probs.T @ ((1.0 - self.a)[:, None] * G)
-        return self.IU.T @ v + self.cu_probs.T @ t
-
     def backward(self, gammas, parts_list, gbar, t_m: int,
                  c: float) -> PseudoGraphGrads:
         """Logit gradient from the taped propagation and d objective / d gamma."""
@@ -351,8 +336,6 @@ class PseudoTransition:
             gbar = self.IU.T @ sbar + self.cu_probs.T @ tbar
         gmix = self.a * (1.0 - self.a) * ga
         gmix[self.forced] = 0.0
-        if self.params.freeze_mix:
-            gmix[:] = 0.0
         return PseudoGraphGrads(ui_logits=segment_softmax_vjp(self.ui_probs, gui,
                                                               self.ui_indptr),
                                 iu_logits=segment_softmax_vjp(self.iu_probs, giu,
@@ -407,25 +390,25 @@ def dense_transition(graph, max_cells: int = 10_000_000) -> np.ndarray:
     graph = normalize_edges(graph)
     if graph.n * graph.n > max_cells:
         raise GuardError(f"dense transition of {graph.n} users exceeds {max_cells} cells")
-    return graph.apply_W(np.eye(graph.n))
+    return graph.apply_W_parts(np.eye(graph.n))[0]
 
 
 def save_graph(path: str, params) -> None:
-    """Write the graph logits checkpoint; topology is not stored."""
-    with open(path, "wb") as fh:
-        fh.write(GRAPH_MAGIC)
-        if isinstance(params, SocialGraphParams):
-            fh.write(struct.pack("<6Q", GRAPH_VERSION, MODE_SOCIAL,
-                                 params.n, 0, 0, params.edges.n_edges))
-            fh.write(np.ascontiguousarray(params.logits, dtype="<f8").tobytes())
-        elif isinstance(params, PseudoGraphParams):
-            fh.write(struct.pack("<6Q", GRAPH_VERSION, MODE_PSEUDO,
-                                 params.n, params.m, params.K, params.train.nnz))
-            for arr in (params.ui_logits, params.iu_logits, params.uc_logits,
-                        params.cu_logits, params.mix_logits):
-                fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-        else:
-            raise TypeError(f"not a graph parameter object: {type(params).__name__}")
+    """Write the graph logits checkpoint; topology is not stored. The header
+    is (version, mode, n, m, K, edge count), with m and K zero in social
+    mode."""
+    if isinstance(params, SocialGraphParams):
+        header = (GRAPH_VERSION, MODE_SOCIAL, params.n, 0, 0,
+                  params.edges.n_edges)
+        arrays = (params.logits,)
+    elif isinstance(params, PseudoGraphParams):
+        header = (GRAPH_VERSION, MODE_PSEUDO, params.n, params.m, params.K,
+                  params.train.nnz)
+        arrays = (params.ui_logits, params.iu_logits, params.uc_logits,
+                  params.cu_logits, params.mix_logits)
+    else:
+        raise TypeError(f"not a graph parameter object: {type(params).__name__}")
+    write_checkpoint(path, GRAPH_MAGIC, header, arrays)
 
 
 def load_graph(path: str, train: InteractionMatrix | None = None,
@@ -435,16 +418,8 @@ def load_graph(path: str, train: InteractionMatrix | None = None,
     Social checkpoints need ``social``; pseudo checkpoints need ``train``.
     Array sizes are validated against the supplied topology.
     """
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    header = len(GRAPH_MAGIC) + 48
-    if len(blob) < header or blob[:len(GRAPH_MAGIC)] != GRAPH_MAGIC:
-        raise ParseError(path, 0, "not a graph checkpoint")
-    version, mode, n, m, k, count = struct.unpack(
-        "<6Q", blob[len(GRAPH_MAGIC):header])
-    if version != GRAPH_VERSION:
-        raise ParseError(path, 0, f"unsupported checkpoint version {version}")
-    flat = np.frombuffer(blob, dtype="<f8", offset=header).astype(np.float64)
+    (mode, n, m, k, count), flat = read_checkpoint(path, GRAPH_MAGIC,
+                                                   GRAPH_VERSION, 6, "graph")
     if mode == MODE_SOCIAL:
         if social is None:
             raise ValueError("social topology required to load a social checkpoint")
@@ -452,22 +427,17 @@ def load_graph(path: str, train: InteractionMatrix | None = None,
             raise ParseError(path, 0, "checkpoint does not match social topology")
         if flat.shape[0] != count:
             raise ParseError(path, 0, "truncated social checkpoint")
-        return SocialGraphParams(edges=social, logits=flat.copy())
+        return SocialGraphParams(edges=social, logits=flat)
     if mode == MODE_PSEUDO:
         if train is None:
             raise ValueError("train matrix required to load a pseudo checkpoint")
-        if (train.n, train.m, train.nnz) != (n, m, count):
+        if (train.n, train.m, train.nnz) != (n, m, count) or k < 1:
             raise ParseError(path, 0, "checkpoint does not match train matrix")
-        want = 2 * count + 2 * n * k + n
-        if flat.shape[0] != want:
+        if flat.shape[0] != 2 * count + 2 * n * k + n:
             raise ParseError(path, 0, "truncated pseudo checkpoint")
-        params = build_pseudo_graph(train, K=int(k), seed=0)
-        pos = 0
-        for name, shape in (("ui_logits", (count,)), ("iu_logits", (count,)),
-                            ("uc_logits", (n, k)), ("cu_logits", (k, n)),
-                            ("mix_logits", (n,))):
-            size = int(np.prod(shape))
-            setattr(params, name, flat[pos:pos + size].reshape(shape).copy())
-            pos += size
-        return params
+        ui, iu, uc, cu, mix = np.split(flat, np.cumsum([count, count, n * k,
+                                                        n * k]))
+        return PseudoGraphParams(train=train, K=k, ui_logits=ui, iu_logits=iu,
+                                 uc_logits=uc.reshape(n, k),
+                                 cu_logits=cu.reshape(k, n), mix_logits=mix)
     raise ParseError(path, 0, f"unknown graph mode {mode}")

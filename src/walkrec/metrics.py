@@ -40,20 +40,6 @@ class EvalReport:
         return out
 
 
-def ranked_items(factors: PreferenceFactors, train: InteractionMatrix,
-                 u: int, k: int | None = None) -> np.ndarray:
-    """Items by descending score for user u, training positives excluded.
-
-    Ties break toward the smaller item id (stable sort on negated scores).
-    """
-    scores = factors.Q @ factors.P[u]
-    order = np.argsort(-scores, kind="stable")
-    keep = np.ones(train.m, dtype=bool)
-    keep[train.row(u)] = False
-    order = order[keep[order]]
-    return order if k is None else order[:k]
-
-
 def _stable_ranks(neg: np.ndarray, items: np.ndarray) -> np.ndarray:
     """1-based positions of items in a stable ascending sort of neg.
 

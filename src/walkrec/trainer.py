@@ -30,7 +30,7 @@ import numpy as np
 from .corpus import InteractionMatrix, SocialEdges, read_json_object
 from .errors import ConfigError, GuardError
 from .exposure import forward_tape, g_term, phi_objective_and_backward
-from .factors import (ModelConfig, PreferenceFactors, TAU,
+from .factors import (ModelConfig, PreferenceFactors,
                       accumulate_pair_gradients, bern_ll, clamped_sigmoid,
                       init_factors, load_factors, predict_pairs, save_factors,
                       sigmoid)
@@ -274,12 +274,12 @@ def init_state(train: InteractionMatrix, config: TrainConfig,
         graph = build_pseudo_graph(
             train, K=config.K,
             seed=np.random.SeedSequence(config.seed, spawn_key=(0, 1)))
+        # sigmoid(+-1000) is exactly 1 or 0, so the gate's gradient a(1 - a)
+        # is exactly 0 and the ablated mix never moves
         if config.ablation == "no_community":
             graph.mix_logits[:] = 1000.0
-            graph.freeze_mix = True
         elif config.ablation == "no_item":
             graph.mix_logits[:] = -1000.0
-            graph.freeze_mix = True
     else:
         if train.n * train.m > DENSE_CELL_GUARD:
             raise GuardError(
@@ -365,8 +365,7 @@ def fit(train: InteractionMatrix, config: TrainConfig,
                     and state.epoch % config.eval_every == 0):
                 from .metrics import evaluate
                 report = evaluate(state.factors, train, test, ks=config.eval_ks)
-                for metric, k, value in report.rows():
-                    name = metric if k is None else f"{metric}@{k}"
+                for name, value in report.as_dict().items():
                     record[name] = value
                     if log_fh:
                         log_fh.write(json.dumps(
@@ -445,8 +444,6 @@ def load_state(out_dir: str, config: TrainConfig, train: InteractionMatrix,
     if config.mode != "exmf_dense":
         graph = load_graph(os.path.join(out_dir, "graph.bin"),
                            train=train, social=social)
-        if config.mode == "samwalker_pp" and config.ablation != "none":
-            graph.freeze_mix = True
     return TrainState(config=config, factors=factors, graph=graph,
                       train_sha256=fingerprint, epoch=meta["epoch"],
                       history=list(meta["history"]))

@@ -226,6 +226,19 @@ def _nth_missing(sorted_present: np.ndarray, ranks: np.ndarray) -> np.ndarray:
     return ranks + np.searchsorted(gaps, ranks, side="right")
 
 
+def _uniform_missing(keys: np.ndarray, universe: int, counts: np.ndarray,
+                     present, rng: np.random.Generator) -> np.ndarray:
+    """For each key, a uniform id in range(universe) absent from the sorted
+    ids present(key), of which there are counts[key]. One uniform per key,
+    drawn in key order."""
+    out = np.empty(keys.shape[0], dtype=np.int64)
+    ranks = (rng.random(keys.shape[0]) * (universe - counts[keys])).astype(np.int64)
+    for key in np.unique(keys):
+        sel = keys == key
+        out[sel] = _nth_missing(present(key), ranks[sel])
+    return out
+
+
 class BaselineSampler:
     """Fixed iid pair distributions with exact per-pair probabilities.
 
@@ -309,18 +322,6 @@ class BaselineSampler:
         out[~x] = 0.5 * w0[~x] / self._z0
         return out
 
-    def _sample_zero_items_for_users(self, users: np.ndarray,
-                                     rng: np.random.Generator) -> np.ndarray:
-        """Uniform item among each user's non-positives."""
-        X = self.X
-        items = np.empty(users.shape[0], dtype=np.int64)
-        ranks = (rng.random(users.shape[0])
-                 * (X.m - X.row_counts[users])).astype(np.int64)
-        for u in np.unique(users):
-            sel = users == u
-            items[sel] = _nth_missing(X.row(u), ranks[sel])
-        return items
-
     def sample(self, size: int, rng: np.random.Generator) -> SampleBatch:
         if size < 1:
             raise ValueError("size must be at least 1")
@@ -357,15 +358,10 @@ class BaselineSampler:
             return np.zeros(0, np.int64), np.zeros(0, np.int64)
         if self.kind == "balunion":
             users = self._zero_user.draw(rng, k)
-            return users, self._sample_zero_items_for_users(users, rng)
+            return users, _uniform_missing(users, X.m, X.row_counts, X.row, rng)
         if self.kind == "itempop":
             items = self._zero_item.draw(rng, k)
-            users = np.empty(k, dtype=np.int64)
-            ranks = (rng.random(k) * (X.n - X.col_counts[items])).astype(np.int64)
-            for i in np.unique(items):
-                sel = items == i
-                users[sel] = _nth_missing(X.col(i), ranks[sel])
-            return users, items
+            return _uniform_missing(items, X.n, X.col_counts, X.col, rng), items
         # cobias: user by row weight, then item by popularity among the
         # user's non-positives via rejection against the global table
         users = self._zero_user.draw(rng, k)

@@ -178,6 +178,33 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "state.json" in err and "internal error" not in err
 
+    @pytest.mark.parametrize("name,cut", [("factors.bin", None),
+                                          ("graph.bin", None),
+                                          ("graph.bin", 3)])
+    def test_unreadable_checkpoint_is_2(self, tmp_path, capsys, name, cut):
+        # a missing file, or a payload that is not whole float64 values
+        data = run_prepare(tmp_path)
+        model = str(tmp_path / "model")
+        assert cli.main(["train", "--data", data, "--out", model]
+                        + FAST_TRAIN) == 0
+        path = os.path.join(model, name)
+        if cut is None:
+            os.remove(path)
+        else:
+            with open(path, "rb") as fh:
+                blob = fh.read()
+            with open(path, "wb") as fh:
+                fh.write(blob[:-cut])
+        capsys.readouterr()
+        runs = [["train", "--data", data, "--out", model, "--resume"]
+                + FAST_TRAIN]
+        if name == "factors.bin":
+            runs.append(["evaluate", "--data", data, "--model", model])
+        for argv in runs:
+            assert cli.main(argv) == 2
+            err = capsys.readouterr().err
+            assert path in err and "internal error" not in err
+
     @pytest.mark.parametrize("flag", ["--beta", "--c", "--eta", "--epsilon",
                                       "--lr-theta", "--lr-phi", "--l2-theta"])
     def test_non_finite_hyperparameter_is_2(self, tmp_path, capsys, flag):

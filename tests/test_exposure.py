@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from walkrec import exposure as ex
-from walkrec import oracle
-from walkrec.graphnet import (PseudoGraphParams, SocialGraphParams,
-                              build_pseudo_graph, build_social_graph,
-                              dense_transition, normalize_edges)
+from walkrec import oracle, trainer
+from walkrec.factors import ModelConfig
+from walkrec.graphnet import (SocialGraphParams, build_pseudo_graph,
+                              build_social_graph, dense_transition,
+                              normalize_edges)
+from walkrec.walker import SamplerConfig
 
 from tests.conftest import random_factors, random_matrix, random_social
 
@@ -230,20 +232,34 @@ class TestPhiGradient:
             seg = grads.logits[indptr[u]:indptr[u + 1]]
             np.testing.assert_allclose(seg, 0.0, atol=1e-12)
 
-    def test_freeze_mix_zeroes_mix_gradient(self):
+    def test_freeze_mix_zeroes_mix_gradient(self, tmp_path):
+        # the ablations pin the mix logits at +-1000, where the gate is
+        # exactly 1 or 0 and its gradient a(1 - a) exactly zero
         train = random_matrix(6, 8, 0.3, seed=25)
-        params = build_pseudo_graph(train, K=2, seed=25)
-        params = PseudoGraphParams(
-            train=params.train, K=params.K, ui_logits=params.ui_logits,
-            iu_logits=params.iu_logits, uc_logits=params.uc_logits,
-            cu_logits=params.cu_logits, mix_logits=params.mix_logits,
-            freeze_mix=True)
         f = random_factors(6, 8, 3, seed=25)
-        _, grads = ex.phi_objective_and_backward(
-            params, f, train, np.arange(8), t_m=2, c=0.8,
-            eta=0.5, epsilon=0.001)
-        assert not np.asarray(grads.mix_logits).any()
-        assert np.asarray(grads.ui_logits).any()
+        for logit, live in ((1000.0, "ui_logits"), (-1000.0, "uc_logits")):
+            params = build_pseudo_graph(train, K=2, seed=25)
+            params.mix_logits[:] = logit
+            _, grads = ex.phi_objective_and_backward(
+                params, f, train, np.arange(8), t_m=2, c=0.8,
+                eta=0.5, epsilon=0.001)
+            assert not grads.mix_logits.any()
+            assert getattr(grads, live).any()
+        # so a fit, and a resume of it, leave them bitwise where they were
+        train = random_matrix(10, 12, 0.3, seed=25)
+        for ablation, logit in (("no_community", 1000.0), ("no_item", -1000.0)):
+            config = trainer.TrainConfig(
+                epochs=3, K=3, n_si=12, ablation=ablation,
+                model=ModelConfig(d=4),
+                sampler=SamplerConfig(alpha=8, beta=4.0, c=0.7, t_m=2))
+            state = trainer.fit(train, config)
+            assert np.array_equal(state.graph.mix_logits, np.full(10, logit))
+            out = str(tmp_path / ablation)
+            trainer.save_state(out, state)
+            state = trainer.fit(train, config,
+                                state=trainer.load_state(out, config, train))
+            assert state.epoch == 6
+            assert np.array_equal(state.graph.mix_logits, np.full(10, logit))
 
     def test_objective_value_matches_manual(self):
         train = random_matrix(5, 7, 0.3, seed=26)
@@ -283,20 +299,17 @@ class TestPhiGradient:
 
 
 class TestObjectives:
-    def test_full_objective_guard(self):
-        train = random_matrix(4, 5, 0.4, seed=27)
-        params = build_pseudo_graph(train, K=2, seed=27)
-        f = random_factors(4, 5, 2, seed=27)
-        with pytest.raises(Exception):
-            ex.full_objective(params, f, train, t_m=2, c=0.5, eta=0.5,
-                              epsilon=0.001, max_cells=3)
-
     def test_elbo_subset_consistency(self):
+        # the objective and its graph gradient add up over item columns
         train = random_matrix(5, 8, 0.3, seed=28)
         params = build_social_graph(random_social(5, 2, seed=28), seed=28)
         f = random_factors(5, 8, 2, seed=28)
-        total = ex.full_objective(params, f, train, t_m=2, c=0.5, eta=0.5,
-                                  epsilon=0.001)
-        parts = [ex.elbo_value(params, f, train, np.array([i]), 2, 0.5, 0.5,
-                               0.001) for i in range(8)]
-        assert total == pytest.approx(sum(parts), rel=1e-10)
+        args = (f, train)
+        kw = dict(t_m=2, c=0.5, eta=0.5, epsilon=0.001)
+        total, grads = ex.phi_objective_and_backward(params, *args,
+                                                     np.arange(8), **kw)
+        parts = [ex.phi_objective_and_backward(params, *args, np.array([i]),
+                                               **kw) for i in range(8)]
+        assert total == pytest.approx(sum(v for v, _ in parts), rel=1e-10)
+        np.testing.assert_allclose(sum(g.logits for _, g in parts),
+                                   grads.logits, rtol=1e-10, atol=1e-14)

@@ -1,6 +1,7 @@
 """Preference factors: math, gradients, and the checkpoint format."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -228,6 +229,16 @@ class TestCheckpoint:
         fa.save_factors(p1, f)
         fa.save_factors(p2, f)
         assert open(p1, "rb").read() == open(p2, "rb").read()
+
+    def test_exact_layout(self, tmp_path):
+        # magic, four little-endian u64 (version, n, m, d), then P and Q
+        # row-major as little-endian float64
+        f = random_factors(3, 4, 2, seed=11)
+        path = tmp_path / "factors.bin"
+        fa.save_factors(str(path), f)
+        want = (b"PREFFACT" + struct.pack("<4Q", 1, 3, 4, 2)
+                + f.P.astype("<f8").tobytes() + f.Q.astype("<f8").tobytes())
+        assert path.read_bytes() == want
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "x.bin"

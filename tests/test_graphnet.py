@@ -1,5 +1,7 @@
 """Graph parameterizations, softmax kernels, and transition operators."""
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -105,8 +107,9 @@ class TestSocialTransition:
         params, mat = self.make(n=7, deg=2, seed=3)
         W = gn.dense_transition(params)
         G = np.random.default_rng(4).normal(0, 1, (7, 3))
-        np.testing.assert_allclose(mat.apply_W(G), W @ G, atol=1e-12)
-        np.testing.assert_allclose(mat.apply_WT(G), W.T @ G, atol=1e-12)
+        got, parts = mat.apply_W_parts(G)
+        np.testing.assert_allclose(got, W @ G, atol=1e-12)
+        assert parts is None
 
     def test_build_reproducible(self):
         edges = random_social(6, 2, seed=5)
@@ -145,7 +148,6 @@ class TestPseudoTransition:
         G = np.random.default_rng(7).normal(0, 1, (8, 4))
         got, parts = mat.apply_W_parts(G)
         np.testing.assert_allclose(got, W @ G, atol=1e-10)
-        np.testing.assert_allclose(mat.apply_WT(G), W.T @ G, atol=1e-10)
 
     def test_userless_item_rows_fall_back_to_communities(self):
         # user 0 has no interactions: its row must still be a distribution,
@@ -223,6 +225,37 @@ class TestGraphCheckpoint:
         gn.save_graph(p1, params)
         gn.save_graph(p2, params)
         assert open(p1, "rb").read() == open(p2, "rb").read()
+
+    def test_exact_layout(self, tmp_path):
+        # magic, six little-endian u64 (version, mode, n, m, K, edge count),
+        # then the logits as little-endian float64
+        edges = random_social(5, 2, seed=15)
+        social = gn.build_social_graph(edges, seed=4)
+        train = random_matrix(5, 6, 0.3, seed=15)
+        pseudo = gn.build_pseudo_graph(train, K=2, seed=4)
+        cases = [
+            (social, struct.pack("<6Q", 1, 0, 5, 0, 0, edges.n_edges),
+             [social.logits]),
+            (pseudo, struct.pack("<6Q", 1, 1, 5, 6, 2, train.nnz),
+             [pseudo.ui_logits, pseudo.iu_logits, pseudo.uc_logits,
+              pseudo.cu_logits, pseudo.mix_logits]),
+        ]
+        for params, header, arrays in cases:
+            path = tmp_path / "graph.bin"
+            gn.save_graph(str(path), params)
+            want = b"PROPGRPH" + header + b"".join(
+                a.astype("<f8").tobytes() for a in arrays)
+            assert path.read_bytes() == want
+
+    @pytest.mark.parametrize("cut", [3, 8])
+    def test_truncated_payload(self, tmp_path, cut):
+        train = random_matrix(5, 6, 0.3, seed=16)
+        params = gn.build_pseudo_graph(train, K=2, seed=0)
+        path = tmp_path / "g.bin"
+        gn.save_graph(str(path), params)
+        path.write_bytes(path.read_bytes()[:-cut])
+        with pytest.raises(ParseError, match="truncated"):
+            gn.load_graph(str(path), train=train)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.bin"

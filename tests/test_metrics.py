@@ -44,10 +44,14 @@ class TestHandExample:
         assert report.mrr == pytest.approx(1.2)
 
     def test_train_positive_excluded_from_ranking(self):
-        f, train, test = single_user_setup()
-        top = metrics.ranked_items(f, train, 0, k=3)
-        assert 6 not in top.tolist()
-        assert top.tolist() == [0, 1, 2]
+        # item 6 outscores every other item but is a train positive, so
+        # items 0, 1, 2 take ranks 1, 2, 3 (2, 3, 4 if 6 were ranked)
+        f, train, _ = single_user_setup()
+        test = matrix_from_pairs(1, 7, np.array([0, 0, 0]), np.array([0, 1, 2]))
+        report = metrics.evaluate(f, train, test, ks=(1, 3))
+        assert report.precision[3] == 1.0
+        assert report.recall[1] == pytest.approx(1.0 / 3.0)
+        assert report.mrr == pytest.approx(1.0 + 1.0 / 2.0 + 1.0 / 3.0)
 
 
 class TestTieBreaking:
@@ -56,8 +60,13 @@ class TestTieBreaking:
                               Q=np.array([[2.0], [2.0], [2.0], [5.0]]))
         train = matrix_from_pairs(1, 4, np.array([], dtype=np.int64),
                                   np.array([], dtype=np.int64))
-        top = metrics.ranked_items(f, train, 0, k=4)
-        assert top.tolist() == [3, 0, 1, 2]
+        # scores 2, 2, 2, 5: item 3 first, then the tied items by id
+        for item, rank in ((3, 1), (0, 2), (1, 3), (2, 4)):
+            test = matrix_from_pairs(1, 4, np.array([0]), np.array([item]))
+            report = metrics.evaluate(f, train, test, ks=(1, 2, 3, 4))
+            assert report.mrr == 1.0 / rank, item
+            assert [report.recall[k] for k in (1, 2, 3, 4)] == [
+                float(k >= rank) for k in (1, 2, 3, 4)], item
 
 
 def brute_force_report(factors, train, test, ks):

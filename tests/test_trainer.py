@@ -2,6 +2,7 @@
 
 import logging
 import math
+import os
 
 import numpy as np
 import pytest
@@ -253,21 +254,29 @@ class TestDeterminismAndResume:
         assert not np.array_equal(a.factors.P, c.factors.P)
 
     def test_resume_replays_uninterrupted_run(self, tmp_path):
+        # 3 epochs, saved and read back, then 2 more: the checkpoint files
+        # of an uninterrupted 5-epoch run, byte for byte
         train = random_matrix(10, 13, 0.3, seed=8)
-        full = trainer.fit(train, quick_config(epochs=6, seed=1))
-        half = trainer.fit(train, quick_config(epochs=3, seed=1))
-        trainer.save_state(str(tmp_path), half)
-        loaded = trainer.load_state(str(tmp_path), quick_config(epochs=3, seed=1),
-                                    train)
-        resumed = trainer.fit(train, quick_config(epochs=3, seed=1),
-                              state=loaded)
-        assert resumed.epoch == 6
-        np.testing.assert_array_equal(resumed.factors.P, full.factors.P)
-        np.testing.assert_array_equal(resumed.factors.Q, full.factors.Q)
-        np.testing.assert_array_equal(resumed.graph.ui_logits,
-                                      full.graph.ui_logits)
-        np.testing.assert_array_equal(resumed.graph.mix_logits,
-                                      full.graph.mix_logits)
+        social = random_social(10, 3, seed=8)
+        for mode in trainer.MODES:
+            straight = str(tmp_path / mode / "straight")
+            full = trainer.fit(train, quick_config(mode, epochs=5, seed=1),
+                               social=social)
+            trainer.save_state(straight, full)
+            resumed = str(tmp_path / mode / "resumed")
+            trainer.save_state(resumed, trainer.fit(
+                train, quick_config(mode, epochs=3, seed=1), social=social))
+            config = quick_config(mode, epochs=2, seed=1)
+            loaded = trainer.load_state(resumed, config, train, social=social)
+            state = trainer.fit(train, config, social=social, state=loaded)
+            trainer.save_state(resumed, state)
+            assert state.epoch == 5
+            assert state.history == full.history
+            names = ["factors.bin"] + (["graph.bin"] if full.graph else [])
+            for name in names:
+                with open(os.path.join(straight, name), "rb") as fa, \
+                        open(os.path.join(resumed, name), "rb") as fb:
+                    assert fa.read() == fb.read(), (mode, name)
 
     def test_save_load_round_trip(self, tmp_path):
         train = random_matrix(8, 10, 0.3, seed=9)
