@@ -154,9 +154,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     train, test, _ = _load_data_dir(args.data)
     if test is None:
         raise ConfigError(f"{args.data}: no interactions_test.tsv to evaluate on")
-    factors = load_factors(os.path.join(args.model, "factors.bin"))
-    if factors.n != train.n or factors.m != train.m:
-        raise ConfigError("model does not match the data dimensions")
+    _, saved = trainer.read_state_json(args.model)
+    factors = load_factors(os.path.join(args.model, "factors.bin"),
+                           train.n, train.m, saved.model.d)
     report = metrics.evaluate(factors, train, test, ks=parse_ks(args.ks))
     out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:

@@ -313,10 +313,10 @@ def binarize_and_filter(interactions, min_item_count: int = 3,
 
     Any event counts as a positive regardless of weight. Items whose distinct
     consumer count falls outside [min_item_count, max_item_count] are removed;
-    users left with no positives are removed. Removing users cannot change the
-    surviving items' counts (each user-item pair is counted once), but the
-    pass is repeated until stable as a safeguard. Remaining ids are re-packed
-    densely, preserving relative order.
+    users left with no positives are removed. One pass suffices: dropping an
+    item's pairs changes no other item's count, and removing users cannot
+    change the surviving items' counts (each user-item pair is counted once).
+    Remaining ids are re-packed densely, preserving relative order.
     """
     if min_item_count < 1:
         raise ValueError("min_item_count must be at least 1")
@@ -331,15 +331,12 @@ def binarize_and_filter(interactions, min_item_count: int = 3,
     keys = _sorted_unique(users * np.int64(m0) + items)
     u = keys // m0
     i = keys % m0
-    while True:
-        item_counts = np.bincount(i, minlength=m0)
-        bad = (item_counts < min_item_count) | (item_counts > max_item_count)
-        keep = ~bad[i]
-        if keep.all():
-            break
-        u, i = u[keep], i[keep]
-        if u.size == 0:
-            raise EmptyDatasetError("all interactions removed by item-count filter")
+    item_counts = np.bincount(i, minlength=m0)
+    bad = (item_counts < min_item_count) | (item_counts > max_item_count)
+    keep = ~bad[i]
+    u, i = u[keep], i[keep]
+    if u.size == 0:
+        raise EmptyDatasetError("all interactions removed by item-count filter")
     user_index = _sorted_unique(u)
     item_index = _sorted_unique(i)
     matrix = matrix_from_pairs(

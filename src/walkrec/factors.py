@@ -179,13 +179,14 @@ def write_checkpoint(path: str, magic: bytes, header, arrays) -> None:
             fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
-def read_checkpoint(path: str, magic: bytes, version: int, fields: int,
-                    what: str) -> tuple[tuple[int, ...], np.ndarray]:
-    """Read write_checkpoint's layout with a header of `fields` u64.
+def read_checkpoint(path: str, magic: bytes, header: tuple, arrays,
+                    what: str) -> None:
+    """Read write_checkpoint's layout into arrays, in place.
 
-    Returns the header after the version and the float64 payload. A file
-    that cannot be read, has another magic or version, or whose payload is
-    not whole float64 values raises ParseError naming path; what names the
+    header is the tuple this run's arrays would be written with, version
+    first. A file that cannot be read, has another magic or any other
+    header, or whose payload is not exactly the arrays' float64 values
+    raises ParseError naming path and changes no array; what names the
     checkpoint kind in the message.
     """
     try:
@@ -193,30 +194,36 @@ def read_checkpoint(path: str, magic: bytes, version: int, fields: int,
             blob = fh.read()
     except OSError as e:
         raise ParseError(path, 0, str(e)) from None
-    start = len(magic) + 8 * fields
+    start = len(magic) + 8 * len(header)
     if len(blob) < start or blob[:len(magic)] != magic:
         raise ParseError(path, 0, f"not a {what} checkpoint")
-    header = struct.unpack(f"<{fields}Q", blob[len(magic):start])
-    if header[0] != version:
-        raise ParseError(path, 0, f"unsupported checkpoint version {header[0]}")
-    if (len(blob) - start) % 8:
-        raise ParseError(path, 0, f"truncated {what} checkpoint")
+    found = struct.unpack(f"<{len(header)}Q", blob[len(magic):start])
+    if found != header:
+        raise ParseError(path, 0, f"{what} checkpoint header {found} does "
+                         f"not match this run's {header}")
+    sizes = [arr.size for arr in arrays]
+    if len(blob) - start != 8 * sum(sizes):
+        raise ParseError(path, 0, f"{what} checkpoint payload is "
+                         f"{len(blob) - start} bytes, this run's arrays "
+                         f"take {8 * sum(sizes)}")
     payload = np.frombuffer(blob, dtype="<f8", offset=start)
-    return header[1:], payload.astype(np.float64)
+    for arr, part in zip(arrays, np.split(payload, np.cumsum(sizes)[:-1])):
+        arr[...] = part.reshape(arr.shape)
+
+
+def _layout(factors: PreferenceFactors):
+    """The factors checkpoint's header (version, n, m, d) and arrays."""
+    return ((FACTORS_VERSION, factors.n, factors.m, factors.d),
+            (factors.P, factors.Q))
 
 
 def save_factors(path: str, factors: PreferenceFactors) -> None:
-    """Write the binary factors checkpoint; the header is (version, n, m, d)."""
-    write_checkpoint(path, FACTORS_MAGIC,
-                     (FACTORS_VERSION, factors.n, factors.m, factors.d),
-                     (factors.P, factors.Q))
+    """Write the binary factors checkpoint in _layout's layout."""
+    write_checkpoint(path, FACTORS_MAGIC, *_layout(factors))
 
 
-def load_factors(path: str) -> PreferenceFactors:
-    (n, m, d), flat = read_checkpoint(path, FACTORS_MAGIC, FACTORS_VERSION, 4,
-                                      "factors")
-    if flat.shape[0] != (n + m) * d:
-        raise ParseError(path, 0, f"expected {(n + m) * d} values, "
-                         f"found {flat.shape[0]}")
-    return PreferenceFactors(P=flat[:n * d].reshape(n, d),
-                             Q=flat[n * d:].reshape(m, d))
+def load_factors(path: str, n: int, m: int, d: int) -> PreferenceFactors:
+    """The n x d and m x d factors a checkpoint of exactly that shape holds."""
+    factors = PreferenceFactors(P=np.empty((n, d)), Q=np.empty((m, d)))
+    read_checkpoint(path, FACTORS_MAGIC, *_layout(factors), "factors")
+    return factors

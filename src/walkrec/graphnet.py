@@ -28,7 +28,7 @@ import numpy as np
 from scipy import sparse
 
 from .corpus import InteractionMatrix, SocialEdges
-from .errors import ConfigError, GuardError, ParseError
+from .errors import ConfigError, GuardError
 from .factors import pair_dots, read_checkpoint, sigmoid, write_checkpoint
 
 GRAPH_MAGIC = b"PROPGRPH"
@@ -393,51 +393,27 @@ def dense_transition(graph, max_cells: int = 10_000_000) -> np.ndarray:
     return graph.apply_W_parts(np.eye(graph.n))[0]
 
 
-def save_graph(path: str, params) -> None:
-    """Write the graph logits checkpoint; topology is not stored. The header
-    is (version, mode, n, m, K, edge count), with m and K zero in social
-    mode."""
+def _layout(params):
+    """The graph checkpoint's header (version, mode, n, m, K, edge count),
+    with m and K zero in social mode, and its logit arrays; topology is not
+    stored."""
     if isinstance(params, SocialGraphParams):
-        header = (GRAPH_VERSION, MODE_SOCIAL, params.n, 0, 0,
-                  params.edges.n_edges)
-        arrays = (params.logits,)
-    elif isinstance(params, PseudoGraphParams):
-        header = (GRAPH_VERSION, MODE_PSEUDO, params.n, params.m, params.K,
-                  params.train.nnz)
-        arrays = (params.ui_logits, params.iu_logits, params.uc_logits,
-                  params.cu_logits, params.mix_logits)
-    else:
-        raise TypeError(f"not a graph parameter object: {type(params).__name__}")
-    write_checkpoint(path, GRAPH_MAGIC, header, arrays)
+        return ((GRAPH_VERSION, MODE_SOCIAL, params.n, 0, 0,
+                 params.edges.n_edges), (params.logits,))
+    if isinstance(params, PseudoGraphParams):
+        return ((GRAPH_VERSION, MODE_PSEUDO, params.n, params.m, params.K,
+                 params.train.nnz),
+                (params.ui_logits, params.iu_logits, params.uc_logits,
+                 params.cu_logits, params.mix_logits))
+    raise TypeError(f"not a graph parameter object: {type(params).__name__}")
 
 
-def load_graph(path: str, train: InteractionMatrix | None = None,
-               social: SocialEdges | None = None):
-    """Rebuild graph params from a checkpoint plus the defining topology.
+def save_graph(path: str, params) -> None:
+    """Write the graph logits checkpoint in _layout's layout."""
+    write_checkpoint(path, GRAPH_MAGIC, *_layout(params))
 
-    Social checkpoints need ``social``; pseudo checkpoints need ``train``.
-    Array sizes are validated against the supplied topology.
-    """
-    (mode, n, m, k, count), flat = read_checkpoint(path, GRAPH_MAGIC,
-                                                   GRAPH_VERSION, 6, "graph")
-    if mode == MODE_SOCIAL:
-        if social is None:
-            raise ValueError("social topology required to load a social checkpoint")
-        if social.n != n or social.n_edges != count:
-            raise ParseError(path, 0, "checkpoint does not match social topology")
-        if flat.shape[0] != count:
-            raise ParseError(path, 0, "truncated social checkpoint")
-        return SocialGraphParams(edges=social, logits=flat)
-    if mode == MODE_PSEUDO:
-        if train is None:
-            raise ValueError("train matrix required to load a pseudo checkpoint")
-        if (train.n, train.m, train.nnz) != (n, m, count) or k < 1:
-            raise ParseError(path, 0, "checkpoint does not match train matrix")
-        if flat.shape[0] != 2 * count + 2 * n * k + n:
-            raise ParseError(path, 0, "truncated pseudo checkpoint")
-        ui, iu, uc, cu, mix = np.split(flat, np.cumsum([count, count, n * k,
-                                                        n * k]))
-        return PseudoGraphParams(train=train, K=k, ui_logits=ui, iu_logits=iu,
-                                 uc_logits=uc.reshape(n, k),
-                                 cu_logits=cu.reshape(k, n), mix_logits=mix)
-    raise ParseError(path, 0, f"unknown graph mode {mode}")
+
+def load_graph(path: str, params) -> None:
+    """Read a graph checkpoint into params' logits, in place; the file must
+    have been written from params of the same family and sizes."""
+    read_checkpoint(path, GRAPH_MAGIC, *_layout(params), "graph")

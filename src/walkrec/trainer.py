@@ -37,7 +37,8 @@ from .factors import (ModelConfig, PreferenceFactors,
 from .graphnet import (PseudoGraphParams, SocialGraphParams,
                        build_pseudo_graph, build_social_graph, load_graph,
                        normalize_edges, save_graph)
-from .walker import SamplerConfig, SampleBatch, WalkEngine
+from .metrics import evaluate
+from .walker import BaselineSampler, SamplerConfig, SampleBatch, WalkEngine
 
 _logger = logging.getLogger(__name__)
 
@@ -363,7 +364,6 @@ def fit(train: InteractionMatrix, config: TrainConfig,
             state.epoch += 1
             if (test is not None and config.eval_every
                     and state.epoch % config.eval_every == 0):
-                from .metrics import evaluate
                 report = evaluate(state.factors, train, test, ks=config.eval_ks)
                 for name, value in report.as_dict().items():
                     record[name] = value
@@ -384,18 +384,15 @@ def fit_uniform_baseline(train: InteractionMatrix, config: TrainConfig
     budget, but pairs drawn uniformly and no confidence weighting."""
     sc = config.sampler
     size = max(1, int(np.ceil(sc.alpha / sc.beta * train.nnz)))
+    sampler = BaselineSampler("allunion", train)
     factors = init_factors(
         train.n, train.m, config.model.d,
         seed=np.random.SeedSequence(config.seed, spawn_key=(0, 0)))
     for epoch in range(config.epochs):
         rng = _epoch_rng(config.seed, epoch)
         for _ in range(config.theta_steps):
-            users = rng.integers(0, train.n, size=size)
-            items = rng.integers(0, train.m, size=size)
-            batch = SampleBatch(users=users, items=items,
-                                labels=train.labels(users, items),
-                                expected_scale=1.0 / size)
-            update_theta_from_batch(factors, batch, config.model.lr_theta,
+            update_theta_from_batch(factors, sampler.sample(size, rng),
+                                    config.model.lr_theta,
                                     config.model.l2_theta)
     return factors
 
@@ -412,16 +409,9 @@ def save_state(out_dir: str, state: TrainState) -> None:
         fh.write("\n")
 
 
-def load_state(out_dir: str, config: TrainConfig, train: InteractionMatrix,
-               social: SocialEdges | None = None) -> TrainState:
-    """Rebuild a TrainState from save_state output plus the data topology.
-
-    Every checkpointed setting except RESUME_FREE (and K outside
-    samwalker_pp) must match config, and train must be the matrix the
-    checkpoint was fitted on; a mismatch is a ConfigError naming the field,
-    since the resumed run would neither replay the checkpointed one nor be
-    recorded truthfully.
-    """
+def read_state_json(out_dir: str) -> tuple[dict, TrainConfig]:
+    """A checkpoint directory's state.json and the config it records; a
+    missing or malformed file is a ParseError or ConfigError naming it."""
     path = os.path.join(out_dir, "state.json")
     meta = read_json_object(path)
     if not isinstance(meta.get("config"), dict):
@@ -432,18 +422,32 @@ def load_state(out_dir: str, config: TrainConfig, train: InteractionMatrix,
             or not isinstance(meta.get("train_sha256"), str)):
         raise ConfigError(f"{path}: epoch, history or train_sha256 missing "
                           "or malformed")
-    _check_same_run(TrainConfig.from_flat(meta["config"], origin=path),
-                    config, out_dir, "checkpoint")
-    fingerprint = train_sha256(train)
-    if meta["train_sha256"] != fingerprint:
+    return meta, TrainConfig.from_flat(meta["config"], origin=path)
+
+
+def load_state(out_dir: str, config: TrainConfig, train: InteractionMatrix,
+               social: SocialEdges | None = None) -> TrainState:
+    """Rebuild a TrainState from save_state output plus the data topology.
+
+    Every checkpointed setting except RESUME_FREE (and K outside
+    samwalker_pp) must match config, and train must be the matrix the
+    checkpoint was fitted on; a mismatch is a ConfigError naming the field,
+    since the resumed run would neither replay the checkpointed one nor be
+    recorded truthfully. factors.bin and graph.bin are read into the state
+    init_state builds for this run, so a file of any other shape is a
+    ParseError naming it.
+    """
+    meta, saved = read_state_json(out_dir)
+    _check_same_run(saved, config, out_dir, "checkpoint")
+    state = init_state(train, config, social)
+    if meta["train_sha256"] != state.train_sha256:
         raise ConfigError(f"{out_dir}: checkpoint was trained on other data "
                           "(train matrix SHA-256 differs); resume on the "
                           "checkpoint's data")
-    factors = load_factors(os.path.join(out_dir, "factors.bin"))
-    graph = None
-    if config.mode != "exmf_dense":
-        graph = load_graph(os.path.join(out_dir, "graph.bin"),
-                           train=train, social=social)
-    return TrainState(config=config, factors=factors, graph=graph,
-                      train_sha256=fingerprint, epoch=meta["epoch"],
-                      history=list(meta["history"]))
+    state.factors = load_factors(os.path.join(out_dir, "factors.bin"),
+                                 train.n, train.m, config.model.d)
+    if state.graph is not None:
+        load_graph(os.path.join(out_dir, "graph.bin"), state.graph)
+    state.epoch = meta["epoch"]
+    state.history = list(meta["history"])
+    return state

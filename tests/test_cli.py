@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -173,10 +174,39 @@ class TestExitCodes:
             with open(path, "wb") as fh:
                 fh.write(content)
         capsys.readouterr()
-        assert cli.main(["train", "--data", data, "--out", model, "--resume"]
-                        + FAST_TRAIN) == 2
-        err = capsys.readouterr().err
-        assert "state.json" in err and "internal error" not in err
+        for argv in (["train", "--data", data, "--out", model, "--resume"]
+                     + FAST_TRAIN,
+                     ["evaluate", "--data", data, "--model", model]):
+            assert cli.main(argv) == 2
+            err = capsys.readouterr().err
+            assert path in err and "internal error" not in err
+
+    @pytest.mark.parametrize("name,donor", [
+        ("factors.bin", ["--d", "6"]), ("graph.bin", ["--k", "8"]),
+        ("graph.bin", ["--mode", "samwalker"])], ids=["d", "K", "mode"])
+    def test_checkpoint_of_another_run_is_2(self, tmp_path, capsys, name,
+                                            donor):
+        # a samwalker_pp checkpoint at d=4, K=4 with one file copied in
+        # from a run of another d, K or graph family
+        data = run_prepare(tmp_path)
+        model, other = str(tmp_path / "model"), str(tmp_path / "other")
+        assert cli.main(["train", "--data", data, "--out", model]
+                        + FAST_TRAIN) == 0
+        assert cli.main(["train", "--data", data, "--out", other]
+                        + FAST_TRAIN + donor) == 0
+        path = os.path.join(model, name)
+        shutil.copyfile(os.path.join(other, name), path)
+        before = open(os.path.join(model, "state.json")).read()
+        capsys.readouterr()
+        runs = [["train", "--data", data, "--out", model, "--resume"]
+                + FAST_TRAIN]
+        if name == "factors.bin":
+            runs.append(["evaluate", "--data", data, "--model", model])
+        for argv in runs:
+            assert cli.main(argv) == 2
+            err = capsys.readouterr().err
+            assert path in err and "does not match this run's" in err
+        assert open(os.path.join(model, "state.json")).read() == before
 
     @pytest.mark.parametrize("name,cut", [("factors.bin", None),
                                           ("graph.bin", None),

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from walkrec import exposure as ex
-from walkrec import oracle, trainer
+from walkrec import trainer
 from walkrec.factors import ModelConfig
 from walkrec.graphnet import (SocialGraphParams, build_pseudo_graph,
                               build_social_graph, dense_transition,

@@ -219,7 +219,7 @@ class TestCheckpoint:
         f = random_factors(5, 7, 3, seed=10)
         path = str(tmp_path / "factors.bin")
         fa.save_factors(path, f)
-        back = fa.load_factors(path)
+        back = fa.load_factors(path, 5, 7, 3)
         assert np.array_equal(back.P, f.P)
         assert np.array_equal(back.Q, f.Q)
 
@@ -243,17 +243,28 @@ class TestCheckpoint:
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "x.bin"
         path.write_bytes(b"NOTMAGIC" + b"\x00" * 64)
-        with pytest.raises(ParseError):
-            fa.load_factors(str(path))
+        with pytest.raises(ParseError, match="not a factors checkpoint"):
+            fa.load_factors(str(path), 3, 4, 2)
 
     def test_truncated(self, tmp_path):
         f = random_factors(4, 4, 2, seed=12)
         path = tmp_path / "t.bin"
         fa.save_factors(str(path), f)
         blob = path.read_bytes()
-        path.write_bytes(blob[:-8])
-        with pytest.raises(ParseError):
-            fa.load_factors(str(path))
+        for cut in (3, 8):
+            path.write_bytes(blob[:-cut])
+            with pytest.raises(ParseError, match="payload is"):
+                fa.load_factors(str(path), 4, 4, 2)
+
+    @pytest.mark.parametrize("shape", [(4, 4, 3), (5, 4, 2), (4, 3, 2)])
+    def test_other_shape(self, tmp_path, shape):
+        path = str(tmp_path / "factors.bin")
+        fa.save_factors(path, random_factors(4, 4, 2, seed=13))
+        with pytest.raises(ParseError) as err:
+            fa.load_factors(path, *shape)
+        assert str(err.value) == (
+            f"{path}:0: factors checkpoint header (1, 4, 4, 2) does not "
+            f"match this run's (1, {shape[0]}, {shape[1]}, {shape[2]})")
 
 
 class TestModelConfig:

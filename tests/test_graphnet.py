@@ -204,7 +204,8 @@ class TestGraphCheckpoint:
         params = gn.build_social_graph(edges, seed=2)
         path = str(tmp_path / "graph.bin")
         gn.save_graph(path, params)
-        back = gn.load_graph(path, social=edges)
+        back = gn.build_social_graph(edges, seed=3)
+        gn.load_graph(path, back)
         assert np.array_equal(back.logits, params.logits)
 
     def test_pseudo_round_trip(self, tmp_path):
@@ -212,7 +213,8 @@ class TestGraphCheckpoint:
         params = gn.build_pseudo_graph(train, K=3, seed=3)
         path = str(tmp_path / "graph.bin")
         gn.save_graph(path, params)
-        back = gn.load_graph(path, train=train)
+        back = gn.build_pseudo_graph(train, K=3, seed=4)
+        gn.load_graph(path, back)
         for name in ("ui_logits", "iu_logits", "uc_logits", "cu_logits",
                      "mix_logits"):
             np.testing.assert_array_equal(getattr(back, name),
@@ -254,20 +256,29 @@ class TestGraphCheckpoint:
         path = tmp_path / "g.bin"
         gn.save_graph(str(path), params)
         path.write_bytes(path.read_bytes()[:-cut])
-        with pytest.raises(ParseError, match="truncated"):
-            gn.load_graph(str(path), train=train)
+        back = gn.build_pseudo_graph(train, K=2, seed=1)
+        before = back.ui_logits.copy()
+        with pytest.raises(ParseError, match="payload is"):
+            gn.load_graph(str(path), back)
+        np.testing.assert_array_equal(back.ui_logits, before)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.bin"
         path.write_bytes(b"WRONGMAG" + b"\x00" * 80)
-        with pytest.raises(ParseError):
-            gn.load_graph(str(path))
+        params = gn.build_social_graph(random_social(5, 2, seed=9), seed=0)
+        with pytest.raises(ParseError, match="not a graph checkpoint"):
+            gn.load_graph(str(path), params)
 
     def test_wrong_topology_size(self, tmp_path):
+        # other items, other K, or the other graph family: each is a header
+        # that differs from the one params would be written with
         train = random_matrix(5, 6, 0.3, seed=13)
         params = gn.build_pseudo_graph(train, K=2, seed=0)
         path = str(tmp_path / "g.bin")
         gn.save_graph(path, params)
-        other = random_matrix(5, 7, 0.3, seed=14)
-        with pytest.raises(ParseError):
-            gn.load_graph(path, train=other)
+        for other in (gn.build_pseudo_graph(random_matrix(5, 7, 0.3, seed=14),
+                                            K=2),
+                      gn.build_pseudo_graph(train, K=3),
+                      gn.build_social_graph(random_social(5, 2, seed=9))):
+            with pytest.raises(ParseError, match="does not match this run's"):
+                gn.load_graph(path, other)

@@ -1,4 +1,4 @@
-"""Every name a walkrec module imports is used in that module."""
+"""Every name a walkrec module or test file imports is used in that file."""
 
 import ast
 import glob
@@ -6,11 +6,16 @@ import os
 
 import pytest
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                   "src", "walkrec")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src", "walkrec")
 # __init__ imports names to re-export them
 MODULES = sorted(path for path in glob.glob(os.path.join(SRC, "*.py"))
                  if os.path.basename(path) != "__init__.py")
+# test_acceptance.py is the frozen contract and is left as it is
+TEST_FILES = sorted(
+    path for pattern in ("tests/*.py", "perfbench/tests/*.py")
+    for path in glob.glob(os.path.join(ROOT, pattern))
+    if os.path.basename(path) != "test_acceptance.py")
 
 
 def unused_imports(source: str) -> list[str]:
@@ -33,7 +38,11 @@ def test_checker_sees_an_unused_import():
         "line 1: os"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=os.path.basename)
+def _file_id(path: str) -> str:
+    return os.path.relpath(path, SRC if os.path.dirname(path) == SRC else ROOT)
+
+
+@pytest.mark.parametrize("path", MODULES + TEST_FILES, ids=_file_id)
 def test_no_unused_imports(path):
     with open(path, encoding="utf-8") as fh:
         assert unused_imports(fh.read()) == []

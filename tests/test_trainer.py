@@ -1,7 +1,6 @@
 """Training loop behavior: updates, determinism, resume, and modes."""
 
 import logging
-import math
 import os
 
 import numpy as np
