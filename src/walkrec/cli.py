@@ -154,7 +154,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     train, test, _ = _load_data_dir(args.data)
     if test is None:
         raise ConfigError(f"{args.data}: no interactions_test.tsv to evaluate on")
-    _, saved = trainer.read_state_json(args.model)
+    meta, saved = trainer.read_state_json(args.model)
+    trainer.check_same_data(meta, trainer.train_sha256(train), args.model)
     factors = load_factors(os.path.join(args.model, "factors.bin"),
                            train.n, train.m, saved.model.d)
     report = metrics.evaluate(factors, train, test, ks=parse_ks(args.ks))

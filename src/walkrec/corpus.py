@@ -143,18 +143,23 @@ def _sniff_delimiter(line: str) -> str:
     return "\t" if "\t" in line else ","
 
 
-def _data_lines(path: str):
-    """(line number, stripped text) of each non-blank, non-comment line.
-
-    The file is read and decoded whole, which is faster than line by line.
-    Bytes that are not UTF-8 raise ParseError at their line number; a path
-    that cannot be opened or read raises ParseError at line 0.
-    """
+def _read_bytes(path: str) -> bytes:
+    """The whole file; a path that cannot be opened or read raises
+    ParseError at line 0."""
     try:
         with open(path, "rb") as fh:
-            blob = fh.read()
+            return fh.read()
     except OSError as e:
         raise ParseError(path, 0, str(e)) from None
+
+
+def _data_lines(path: str, blob: bytes):
+    """(line number, stripped text) of each non-blank, non-comment line of
+    blob, the bytes of path.
+
+    The file is decoded whole, which is faster than line by line. Bytes that
+    are not UTF-8 raise ParseError at their line number.
+    """
     try:
         text = blob.decode("utf-8")
     except UnicodeDecodeError as e:
@@ -179,7 +184,7 @@ def load_interactions(path: str, fmt: str | None = None) -> LoadResult:
     user_ids: list[str] = []
     item_ids: list[str] = []
     out: list[Interaction] = []
-    for line_no, line in _data_lines(path):
+    for line_no, line in _data_lines(path, _read_bytes(path)):
         fields = line.split(delim or _sniff_delimiter(line))
         if len(fields) < 2:
             raise ParseError(path, line_no, "expected at least user and item fields")
@@ -213,7 +218,7 @@ def load_social(path: str, user_map: dict[str, int], fmt: str | None = None) -> 
     """
     delim = {"tsv": "\t", "csv": ","}.get(fmt)
     pairs: list[tuple[int, int]] = []
-    for line_no, line in _data_lines(path):
+    for line_no, line in _data_lines(path, _read_bytes(path)):
         fields = line.split(delim or _sniff_delimiter(line))
         if len(fields) < 2:
             raise ParseError(path, line_no, "expected source and target fields")
@@ -411,15 +416,63 @@ def split_folds(matrix: InteractionMatrix, spec: SplitSpec
 
 def write_pairs(path: str, matrix: InteractionMatrix) -> None:
     """Write a matrix as a dense-id TSV pair file (stable ordering)."""
+    text = "".join(f"{u}\t{i}\t1\n" for u, i in
+                   zip(matrix.row_users.tolist(), matrix.row_items.tolist()))
     with open(path, "w", encoding="utf-8") as fh:
-        for u, i in zip(matrix.row_users, matrix.row_items):
-            fh.write(f"{u}\t{i}\t1\n")
+        fh.write(text)
 
 
-def read_pairs(path: str, n: int | None = None, m: int | None = None) -> InteractionMatrix:
-    """Read a dense-id pair file written by write_pairs (no remapping)."""
+_MAX_DIGITS = 18  # every 18-digit id fits in int64
+
+
+def _pairs_in_one_pass(blob: bytes) -> tuple[np.ndarray, np.ndarray] | None:
+    """(users, items) of the first two tokens of each line, or None.
+
+    Only files on which the per-line reader cannot differ are recognized:
+    non-empty, ending in a newline, every byte a digit, tab or newline, every
+    token 1-18 digits and every line at least two tokens. On such a file
+    the per-line reader's strip, comment and delimiter rules and int()
+    change nothing, and pair k sits on line k + 1. Anything else is None.
+    """
+    if not blob.endswith(b"\n"):
+        return None
+    buf = np.frombuffer(blob, dtype=np.uint8)
+    ends = np.flatnonzero(buf - np.uint8(ord("0")) > 9)  # non-digits
+    seps = buf[ends]
+    newline = seps == ord("\n")
+    if not (newline | (seps == ord("\t"))).all():
+        return None
+    starts = np.empty_like(ends)  # token t is buf[starts[t]:ends[t]]
+    starts[0] = 0
+    starts[1:] = ends[:-1] + 1
+    lengths = ends - starts
+    if lengths.min() < 1 or lengths.max() > _MAX_DIGITS:
+        return None
+    last = np.flatnonzero(newline)  # the last token of each line
+    first = np.empty_like(last)
+    first[0] = 0
+    first[1:] = last[:-1] + 1
+    if (first == last).any():
+        return None
+    return (_token_values(buf, starts[first], lengths[first]),
+            _token_values(buf, starts[first + 1], lengths[first + 1]))
+
+
+def _token_values(buf: np.ndarray, starts: np.ndarray,
+                  lengths: np.ndarray) -> np.ndarray:
+    """The decimal value of each all-digit token, one Horner pass per digit
+    position."""
+    values = buf[starts].astype(np.int64) - ord("0")
+    for j in range(1, int(lengths.max())):
+        longer = np.flatnonzero(lengths > j)
+        values[longer] = values[longer] * 10 + (buf[starts[longer] + j] - ord("0"))
+    return values
+
+
+def _pairs_by_line(path: str, blob: bytes):
+    """(users, items, line numbers) of a pair file, read line by line."""
     us, its, line_nos = [], [], []
-    for line_no, line in _data_lines(path):
+    for line_no, line in _data_lines(path, blob):
         fields = line.split(_sniff_delimiter(line))
         if len(fields) < 2:
             raise ParseError(path, line_no, "expected user and item fields")
@@ -431,13 +484,32 @@ def read_pairs(path: str, n: int | None = None, m: int | None = None) -> Interac
     try:  # numpy parses the id tokens as int() does, but in one call
         users = np.array(us, dtype=np.int64)
         items = np.array(its, dtype=np.int64)
-    except ValueError:
+    except (ValueError, OverflowError):
         for k, (u, i) in enumerate(zip(us, its)):
             try:
-                int(u), int(i)
+                ids = int(u), int(i)
             except ValueError:
                 raise ParseError(path, line_nos[k], "ids must be integers") from None
+            if not all(-2 ** 63 <= v < 2 ** 63 for v in ids):
+                raise ParseError(path, line_nos[k], "id does not fit in 64 bits")
         raise
+    return users, items, line_nos
+
+
+def read_pairs(path: str, n: int | None = None, m: int | None = None) -> InteractionMatrix:
+    """Read a dense-id pair file written by write_pairs (no remapping).
+
+    A file in write_pairs' own layout is parsed in one vectorized pass; any
+    other (comments, commas, CRLF, signs, ...) is read line by line, with
+    the same results and the same errors.
+    """
+    blob = _read_bytes(path)
+    one_pass = _pairs_in_one_pass(blob)
+    if one_pass is None:
+        users, items, line_nos = _pairs_by_line(path, blob)
+    else:
+        users, items = one_pass
+        line_nos = range(1, users.size + 1)
     n = n if n is not None else int(users.max()) + 1
     m = m if m is not None else int(items.max()) + 1
     bad = np.flatnonzero((users < 0) | (users >= n) | (items < 0) | (items >= m))

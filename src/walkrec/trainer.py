@@ -425,6 +425,15 @@ def read_state_json(out_dir: str) -> tuple[dict, TrainConfig]:
     return meta, TrainConfig.from_flat(meta["config"], origin=path)
 
 
+def check_same_data(meta: dict, digest: str, out_dir: str) -> None:
+    """Refuse a checkpoint whose state.json (meta, from read_state_json)
+    records a train matrix other than the one with SHA-256 digest."""
+    if meta["train_sha256"] != digest:
+        raise ConfigError(f"{out_dir}: checkpoint was trained on other data "
+                          "(train matrix SHA-256 differs); use the "
+                          "checkpoint's data")
+
+
 def load_state(out_dir: str, config: TrainConfig, train: InteractionMatrix,
                social: SocialEdges | None = None) -> TrainState:
     """Rebuild a TrainState from save_state output plus the data topology.
@@ -440,10 +449,7 @@ def load_state(out_dir: str, config: TrainConfig, train: InteractionMatrix,
     meta, saved = read_state_json(out_dir)
     _check_same_run(saved, config, out_dir, "checkpoint")
     state = init_state(train, config, social)
-    if meta["train_sha256"] != state.train_sha256:
-        raise ConfigError(f"{out_dir}: checkpoint was trained on other data "
-                          "(train matrix SHA-256 differs); resume on the "
-                          "checkpoint's data")
+    check_same_data(meta, state.train_sha256, out_dir)
     state.factors = load_factors(os.path.join(out_dir, "factors.bin"),
                                  train.n, train.m, config.model.d)
     if state.graph is not None:

@@ -7,7 +7,7 @@ import shutil
 import numpy as np
 import pytest
 
-from walkrec import cli, trainer
+from walkrec import cli, corpus, trainer
 
 
 def write_raw_dataset(tmp_path, n_users=30, n_items=40, events=500, seed=0,
@@ -81,6 +81,22 @@ class TestExitCodes:
                          "--out", str(tmp_path / "model")] + FAST_TRAIN)
         assert code == 2
         assert f"social.tsv:{line_no}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad_line", ["99999999999999999999\t2\t1",
+                                          "3\t-9223372036854775809\t1"])
+    def test_id_beyond_int64_is_2(self, tmp_path, capsys, bad_line):
+        data = run_prepare(tmp_path)
+        path = os.path.join(data, "interactions_train.tsv")
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(bad_line + "\n")
+        with open(path, encoding="utf-8") as fh:
+            line_no = sum(1 for _ in fh)
+        code = cli.main(["train", "--data", data,
+                         "--out", str(tmp_path / "model")] + FAST_TRAIN)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"interactions_train.tsv:{line_no}:" in err
+        assert "internal error" not in err
 
     def test_non_utf8_raw_interactions_is_2(self, tmp_path, capsys):
         raw, _ = write_raw_dataset(tmp_path)
@@ -311,6 +327,30 @@ class TestPrepare:
         new_id, raw = lines[0].split("\t")
         assert new_id == "0" and raw.startswith("u")
 
+    def test_pair_files_take_the_one_pass_reader(self, tmp_path, monkeypatch,
+                                                 tiny_matrix):
+        data = run_prepare(tmp_path)
+        raw, _ = write_raw_dataset(tmp_path, seed=3)
+        folds = str(tmp_path / "folds")
+        assert cli.main(["prepare", "--interactions", raw, "--folds", "3",
+                         "--min-item-count", "2", "--out", folds]) == 0
+        bench = tmp_path / "bench"  # perfbench writes every file this way
+        bench.mkdir()
+        for name, mat in [("train.tsv", tiny_matrix),
+                          ("social.tsv", corpus.matrix_from_pairs(
+                              3, 3, [0, 1, 1, 2], [1, 0, 2, 1]))]:
+            corpus.write_pairs(str(bench / name), mat)
+
+        def line_reader(path, blob):
+            raise AssertionError(f"{path} was read line by line")
+        monkeypatch.setattr(corpus, "_pairs_by_line", line_reader)
+        names = [os.path.join(d, f) for d in (data, folds, str(bench))
+                 for f in os.listdir(d)
+                 if f.endswith(".tsv") and not f.startswith("idmap")]
+        assert len(names) == 13
+        for name in names:
+            assert corpus.read_pairs(name).nnz > 0
+
     def test_folds_mode(self, tmp_path):
         raw, _ = write_raw_dataset(tmp_path, seed=3)
         out = str(tmp_path / "folds")
@@ -468,6 +508,21 @@ class TestTrainEvaluate:
         capsys.readouterr()
         assert cli.main(["train", "--data", other, "--out", model, "--resume"]
                         + dense) == 2
+        err = capsys.readouterr().err
+        assert "other data" in err and "internal error" not in err
+
+    def test_evaluate_on_other_data_is_2(self, tmp_path, capsys):
+        data = run_prepare(tmp_path)
+        model = str(tmp_path / "model")
+        assert cli.main(["train", "--data", data, "--out", model]
+                        + FAST_TRAIN) == 0
+        path = os.path.join(data, "interactions_train.tsv")
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(lines[:-1])
+        capsys.readouterr()
+        assert cli.main(["evaluate", "--data", data, "--model", model]) == 2
         err = capsys.readouterr().err
         assert "other data" in err and "internal error" not in err
 

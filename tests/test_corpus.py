@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from walkrec import corpus
@@ -277,6 +277,84 @@ class TestPairsIO:
         corpus.write_pairs(str(p), tiny_matrix)
         back = corpus.read_pairs(str(p))
         assert back.n == 4 and back.m == 5
+
+    def test_write_pairs_bytes(self, tmp_path, tiny_matrix):
+        p = tmp_path / "a.tsv"
+        corpus.write_pairs(str(p), tiny_matrix)
+        assert p.read_bytes() == (b"0\t0\t1\n0\t2\t1\n1\t1\t1\n2\t0\t1\n"
+                                  b"2\t3\t1\n2\t4\t1\n3\t2\t1\n")
+
+    @pytest.mark.parametrize("text,line_no", [
+        ("0\t1\t1\n99999999999999999999\t2\t1\n", 2),
+        ("# ids\n0\t1\n1\t-9223372036854775809\n", 3),
+    ])
+    def test_id_beyond_int64_reports_line(self, tmp_path, text, line_no):
+        path = write(tmp_path, "a.tsv", text)
+        with pytest.raises(ParseError, match="64 bits") as err:
+            corpus.read_pairs(path, n=5, m=5)
+        assert err.value.line_no == line_no
+
+    @pytest.mark.parametrize("text", [
+        "0\t1\t1\n2\t1\n",  # write_pairs' layout and social.tsv's
+        "1\t0\n0\t1\t1\t7\n",
+        "000000000000000003\t1\n",  # 18 digits
+    ])
+    def test_one_pass_layouts(self, text):
+        users, items = corpus._pairs_in_one_pass(text.encode())
+        rows = [line.split("\t") for line in text.splitlines()]
+        assert users.tolist() == [int(r[0]) for r in rows]
+        assert items.tolist() == [int(r[1]) for r in rows]
+
+    @pytest.mark.parametrize("text", [
+        "", "0\t1", "0\t1\r\n", "0,1\n", "# c\n0\t1\n", "0\t1\n\n",
+        "0\n", "0\n1\t2\n", "\t0\t1\n", "0\t\t1\n", "+0\t1\n", "0 \t1\n",
+        "1000000000000000000\t1\n",  # 19 digits
+    ])
+    def test_one_pass_declines_other_files(self, text):
+        assert corpus._pairs_in_one_pass(text.encode()) is None
+
+
+_IDS = st.sampled_from([b"0", b"3", b"12", b"007", b"39"] * 4
+                       + [b"40", b"9" * 18, b"9" * 19, b"1" + b"0" * 18])
+_JUNK = st.sampled_from([b"\r", b" ", b"#", b",", b"+", b"-", b"_", b"x",
+                         b"\xff", b"\t", b"\n"])
+
+
+@st.composite
+def pair_files(draw):
+    """Pair-file bytes: tab-separated id lines, some bytes spliced in and
+    sometimes the final newline dropped."""
+    line = st.sampled_from([1, 2, 2, 2, 2, 3]).flatmap(
+        lambda k: st.lists(_IDS, min_size=k, max_size=k))
+    lines = draw(st.lists(line, max_size=6))
+    text = b"".join(b"\t".join(line) + b"\n" for line in lines)
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(_JUNK) + text[at:]
+    if draw(st.integers(0, 5)) == 0:
+        text = text.removesuffix(b"\n")
+    return text
+
+
+def _read_outcome(path):
+    try:
+        mat = corpus.read_pairs(path, n=40, m=40)
+    except (ParseError, EmptyDatasetError) as e:
+        return type(e).__name__, getattr(e, "line_no", None), str(e)
+    return mat.row_indptr.tolist(), mat.row_items.tolist()
+
+
+class TestOnePassAgreesWithLineReader:
+    @given(pair_files())
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_same_arrays_or_same_error(self, tmp_path, blob):
+        path = tmp_path / "pairs.tsv"
+        path.write_bytes(blob)
+        fast = _read_outcome(str(path))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(corpus, "_pairs_in_one_pass", lambda blob: None)
+            assert _read_outcome(str(path)) == fast
 
 
 class TestReindex:
