@@ -71,6 +71,13 @@ def _load_data_dir(path: str):
     return train, test, social
 
 
+def _write_columns(path: str, left, right) -> None:
+    """Write one "left<TAB>right" line per pair, in a single write."""
+    text = "".join(f"{a}\t{b}\n" for a, b in zip(left, right))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
 def cmd_prepare(args: argparse.Namespace) -> int:
     loaded = corpus.load_interactions(args.interactions, fmt=args.format)
     result = corpus.binarize_and_filter(loaded.interactions,
@@ -98,16 +105,13 @@ def cmd_prepare(args: argparse.Namespace) -> int:
         pairs = corpus.reindex_pairs(pairs, old_to_new)
         edges = corpus.social_edges(matrix.n, pairs, symmetrize=args.symmetrize)
         n_social = edges.n_edges
-        with open(os.path.join(args.out, "social.tsv"), "w", encoding="utf-8") as fh:
-            for u in range(edges.n):
-                for v in edges.neighbors(u):
-                    fh.write(f"{u}\t{v}\n")
-    with open(os.path.join(args.out, "idmap_users.tsv"), "w", encoding="utf-8") as fh:
-        for new_id, old_dense in enumerate(result.user_index):
-            fh.write(f"{new_id}\t{loaded.user_ids[old_dense]}\n")
-    with open(os.path.join(args.out, "idmap_items.tsv"), "w", encoding="utf-8") as fh:
-        for new_id, old_dense in enumerate(result.item_index):
-            fh.write(f"{new_id}\t{loaded.item_ids[old_dense]}\n")
+        _write_columns(os.path.join(args.out, "social.tsv"),
+                       np.repeat(np.arange(edges.n), np.diff(edges.indptr)).tolist(),
+                       edges.targets.tolist())
+    for name, index, tokens in (("idmap_users.tsv", result.user_index, loaded.user_ids),
+                                ("idmap_items.tsv", result.item_index, loaded.item_ids)):
+        _write_columns(os.path.join(args.out, name), range(index.shape[0]),
+                       [tokens[j] for j in index.tolist()])
     manifest = {
         "n": matrix.n,
         "m": matrix.m,

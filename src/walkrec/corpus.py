@@ -295,14 +295,12 @@ def social_edges(n: int, pairs, symmetrize: bool = False) -> SocialEdges:
     return SocialEdges(n=n, indptr=indptr, targets=tgt)
 
 
-def reindex_pairs(pairs, old_to_new: np.ndarray) -> list[tuple[int, int]]:
-    """Map (src, tgt) pairs through old_to_new, dropping pairs with a -1 end."""
-    out = []
-    for s, t in pairs:
-        ns, nt = old_to_new[s], old_to_new[t]
-        if ns >= 0 and nt >= 0:
-            out.append((int(ns), int(nt)))
-    return out
+def reindex_pairs(pairs, old_to_new: np.ndarray) -> np.ndarray:
+    """Map (src, tgt) pairs through old_to_new, dropping pairs with a -1
+    end; returns the kept pairs, in order, as a (k, 2) int64 array."""
+    mapped = np.asarray(old_to_new, dtype=np.int64)[
+        np.asarray(pairs, dtype=np.int64).reshape(-1, 2)]
+    return mapped[(mapped >= 0).all(axis=1)]
 
 
 def inverse_index(index: np.ndarray, old_size: int) -> np.ndarray:

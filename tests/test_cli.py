@@ -321,6 +321,20 @@ class TestPrepare:
             b2 = open(os.path.join(d2, name), "rb").read()
             assert b1 == b2, name
 
+    def test_side_files_exact_bytes(self, tmp_path):
+        # dan's only item is filtered out, so dan and the bob-dan edge go;
+        # the self-edge and the repeat go, and cat keeps a self-loop
+        raw, soc = tmp_path / "raw.tsv", tmp_path / "soc.tsv"
+        raw.write_text("bob\tx\namy\ty\nbob\ty\ncat\tx\ndan\tz\ncat\ty\n")
+        soc.write_text("amy\tbob\nbob\tdan\ncat\tcat\namy\tbob\n")
+        out = tmp_path / "data"
+        assert cli.main(["prepare", "--interactions", str(raw), "--social", str(soc),
+                         "--symmetrize", "--min-item-count", "2",
+                         "--out", str(out)]) == 0
+        assert (out / "social.tsv").read_bytes() == b"0\t1\n1\t0\n2\t2\n"
+        assert (out / "idmap_users.tsv").read_bytes() == b"0\tbob\n1\tamy\n2\tcat\n"
+        assert (out / "idmap_items.tsv").read_bytes() == b"0\tx\n1\ty\n"
+
     def test_idmaps_reference_raw_tokens(self, tmp_path):
         data = run_prepare(tmp_path)
         lines = open(os.path.join(data, "idmap_users.tsv")).read().splitlines()

@@ -365,4 +365,6 @@ class TestReindex:
         assert inv[1] == -1
         pairs = [(2, 0), (1, 5), (0, 2)]
         out = corpus.reindex_pairs(pairs, inv)
-        assert (0, 1) in out and (1, 0) in out and len(out) == 2
+        assert out.dtype == np.int64
+        np.testing.assert_array_equal(out, [[0, 1], [1, 0]])
+        assert corpus.reindex_pairs([], inv).shape == (0, 2)

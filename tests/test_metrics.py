@@ -269,7 +269,109 @@ class TestArgsortAgreement:
         assert_same_report(f, train, train, ks)
 
 
+def ulp_rows(base, m):
+    """m rows, each one ulp above the last in every entry."""
+    rows = [base]
+    for _ in range(m - 1):
+        rows.append(np.nextafter(rows[-1], np.inf))
+    return np.array(rows)
+
+
+@st.composite
+def near_tie_cases(draw):
+    """Factors and splits on which block scores and per-user scores tie,
+    nearly tie, underflow, or are not finite."""
+    n, m, d = draw(st.integers(1, 6)), draw(st.integers(1, 12)), draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["ulp", "duplicate", "integer", "decimal",
+                                 "subnormal", "nonfinite"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    P, Q = rng.normal(size=(n, d)), rng.normal(size=(m, d))
+    if kind == "ulp":
+        Q = ulp_rows(Q[0], m)[rng.permutation(m)]
+    elif kind == "duplicate":
+        Q = Q[rng.integers(0, min(2, m), m)]
+    elif kind == "integer":
+        P, Q = (rng.integers(-2, 3, A.shape).astype(np.float64) for A in (P, Q))
+    elif kind == "decimal":
+        P, Q = np.round(2 * P, 1), np.round(2 * Q, 1)
+    elif kind == "subnormal":  # products below the normal range
+        P, Q = P * 1e-160, Q * 1e-160
+    else:
+        for A in (P, Q):
+            A.flat[rng.integers(A.size, size=2)] = rng.choice(
+                [np.inf, -np.inf, np.nan], size=2)
+    train, test = split_matrix(n, m, rng.uniform(0.2, 0.9), int(rng.integers(2**31)))
+    if draw(st.booleans()):  # some test items are train items too
+        keep = rng.random(train.nnz) < 0.5
+        test = matrix_from_pairs(
+            n, m, np.concatenate([test.row_users, train.row_users[keep]]),
+            np.concatenate([test.row_items, train.row_items[keep]]))
+    ks = tuple(sorted({int(k) for k in rng.integers(1, m + 3, size=2)}))
+    return PreferenceFactors(P=P, Q=Q), train, test, ks
+
+
+class TestBlockScores:
+    """evaluate scores users in blocks from one matrix product, whose rows
+    may differ from the per-user scores in the last bits; the ranks it
+    reports must still be those of the per-user scores."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(near_tie_cases())
+    def test_near_ties_match_the_argsort_report(self, case):
+        f, train, test, ks = case
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert_same_report(f, train, test, ks)
+
+    def test_continuous_factors_need_no_per_user_scores(self, monkeypatch):
+        # perfbench's shape: no user of continuous random factors is left
+        # to the per-user path, which a slowed evaluate would otherwise hide
+        train, test = split_matrix(1000, 1500, 0.03, seed=11)
+        f = random_factors(1000, 1500, 32, seed=11)
+        want = argsort_report(f, train, test, (10, 20))
+
+        def refuse(*args):
+            raise AssertionError("a user took the per-user path")
+        monkeypatch.setattr(metrics, "_exact_ranks", refuse)
+        assert metrics.evaluate(f, train, test, ks=(10, 20)).as_dict() == want
+
+    def test_window_ambiguous_user_takes_the_per_user_path(self, monkeypatch):
+        # items 1 and 2 score one ulp apart for user 0, closer than any bound
+        # on the product's rounding; user 1 scores them 2.0 apart
+        f = PreferenceFactors(P=np.array([[1.0, 0.0], [0.0, 1.0]]),
+                              Q=np.array([[5.0, 5.0], [0.7, 1.0],
+                                          [np.nextafter(0.7, 1.0), -1.0],
+                                          [-1.0, -1.0]]))
+        train = matrix_from_pairs(2, 4, np.array([0, 1]), np.array([3, 3]))
+        test = matrix_from_pairs(2, 4, np.array([0, 1]), np.array([2, 2]))
+        seen = []
+        exact = metrics._exact_ranks
+
+        def counted(factors, train, u, te):
+            seen.append(u)
+            return exact(factors, train, u, te)
+        monkeypatch.setattr(metrics, "_exact_ranks", counted)
+        report = metrics.evaluate(f, train, test, ks=(1, 2))
+        assert seen == [0]
+        assert report.as_dict() == argsort_report(f, train, test, (1, 2))
+
+    @pytest.mark.parametrize("users", [1, 2, 7, 300])
+    def test_row_sums_add_like_one_user_sums(self, users):
+        # evaluate sums each user's NDCG and MRR terms as a row of a
+        # (users x t) matrix, which must add as np.sum of the user's own terms
+        rng = np.random.default_rng(users)
+        for t in list(range(1, 300)) + [511, 1000, 1027]:
+            M = 1.0 / np.log2(rng.integers(1, 5000, (users, t)) + 1.0)
+            assert np.array_equal(M.sum(axis=1), [np.sum(row) for row in M]), t
+
+
 class TestRefusals:
+    def test_factors_of_another_shape(self):
+        train, test = split_matrix(3, 4, 0.5, seed=12)
+        for n, m in ((3, 9), (5, 4)):
+            f = random_factors(n, m, 2, seed=12)
+            with pytest.raises(ValueError, match=f"factors are {n}x{m} .* 3x4"):
+                metrics.evaluate(f, train, test, ks=(2,))
+
     def test_repeated_cutoff(self):
         f, train, test = single_user_setup()
         with pytest.raises(ValueError, match="repeats"):
