@@ -71,13 +71,6 @@ def _load_data_dir(path: str):
     return train, test, social
 
 
-def _write_columns(path: str, left, right) -> None:
-    """Write one "left<TAB>right" line per pair, in a single write."""
-    text = "".join(f"{a}\t{b}\n" for a, b in zip(left, right))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-
-
 def cmd_prepare(args: argparse.Namespace) -> int:
     loaded = corpus.load_interactions(args.interactions, fmt=args.format)
     result = corpus.binarize_and_filter(loaded.interactions,
@@ -105,13 +98,13 @@ def cmd_prepare(args: argparse.Namespace) -> int:
         pairs = corpus.reindex_pairs(pairs, old_to_new)
         edges = corpus.social_edges(matrix.n, pairs, symmetrize=args.symmetrize)
         n_social = edges.n_edges
-        _write_columns(os.path.join(args.out, "social.tsv"),
-                       np.repeat(np.arange(edges.n), np.diff(edges.indptr)).tolist(),
-                       edges.targets.tolist())
+        corpus.write_columns(os.path.join(args.out, "social.tsv"),
+                             np.repeat(np.arange(edges.n), np.diff(edges.indptr)).tolist(),
+                             edges.targets.tolist())
     for name, index, tokens in (("idmap_users.tsv", result.user_index, loaded.user_ids),
                                 ("idmap_items.tsv", result.item_index, loaded.item_ids)):
-        _write_columns(os.path.join(args.out, name), range(index.shape[0]),
-                       [tokens[j] for j in index.tolist()])
+        corpus.write_columns(os.path.join(args.out, name), range(index.shape[0]),
+                             [tokens[j] for j in index.tolist()])
     manifest = {
         "n": matrix.n,
         "m": matrix.m,
@@ -126,9 +119,7 @@ def cmd_prepare(args: argparse.Namespace) -> int:
         "seed": args.seed,
         "symmetrize": bool(args.symmetrize),
     }
-    with open(os.path.join(args.out, "manifest.json"), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    corpus.write_json_object(os.path.join(args.out, "manifest.json"), manifest)
     print(f"prepared {matrix.n} users x {matrix.m} items "
           f"({train.nnz} train / {test.nnz} test positives) -> {args.out}")
     return 0
@@ -163,17 +154,12 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     factors = load_factors(os.path.join(args.model, "factors.bin"),
                            train.n, train.m, saved.model.d)
     report = metrics.evaluate(factors, train, test, ks=parse_ks(args.ks))
-    out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
-    try:
-        if args.json:
-            out.write(json.dumps(report.as_dict(), sort_keys=True) + "\n")
-        else:
-            out.write("metric,K,value\n")
-            for metric, k, value in report.rows():
-                out.write(f"{metric},{'' if k is None else k},{value:.6f}\n")
-    finally:
-        if args.out:
-            out.close()
+    if args.json:
+        _write_text(args.out, json.dumps(report.as_dict(), sort_keys=True) + "\n")
+    else:
+        _write_rows(args.out, "metric,K,value",
+                    ((metric, "" if k is None else k, f"{value:.6f}")
+                     for metric, k, value in report.rows()))
     return 0
 
 
@@ -186,22 +172,31 @@ def _bench_instance(args: argparse.Namespace):
 
 
 def _bench_config(args: argparse.Namespace, **overrides) -> TrainConfig:
-    """TrainConfig.from_flat on the bench flags that are set, plus overrides."""
+    """TrainConfig.from_flat on the bench flags that are set, plus overrides;
+    a flag that an override would replace is refused."""
     settings = {key: getattr(args, key) for key in trainer.FLAT_FIELDS
                 if getattr(args, key, None) is not None}
+    clash = sorted(settings.keys() & overrides.keys())
+    if clash:
+        raise ConfigError(f"--{clash[0].replace('_', '-')} does not apply to "
+                          f"bench {args.bench_kind}, which sets {clash[0]} itself")
     settings.update(overrides)
     return TrainConfig.from_flat(settings, origin="bench flags")
 
 
+def _write_text(path: str | None, text: str) -> None:
+    """Write text to path, or to stdout when no path is given."""
+    if not path:
+        sys.stdout.write(text)
+        return
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
 def _write_rows(path: str | None, header: str, rows) -> None:
-    out = open(path, "w", encoding="utf-8") if path else sys.stdout
-    try:
-        out.write(header + "\n")
-        for row in rows:
-            out.write(",".join(str(v) for v in row) + "\n")
-    finally:
-        if path:
-            out.close()
+    """Write a CSV table through _write_text."""
+    _write_text(path, header + "\n" + "".join(
+        ",".join(str(v) for v in row) + "\n" for row in rows))
 
 
 def cmd_bench_sampler(args: argparse.Namespace) -> int:
@@ -319,7 +314,7 @@ def _add_bench_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--synth", default="n=120,m=200,d=8,groups=4,seed=7",
                    help="synthetic instance spec, key=value pairs")
     p.add_argument("--mode", choices=("samwalker", "samwalker_pp"),
-                   default="samwalker_pp", help="graph mode (default samwalker_pp)")
+                   help="graph mode (default samwalker_pp)")
     p.add_argument("--d", type=int, default=16, help="factor dimension")
     p.add_argument("--k", type=int, default=8, help="community count")
     p.add_argument("--epochs", type=int, default=30, help="training epochs")

@@ -2,7 +2,14 @@
 
 Interaction files are one event per line, ``user<delim>item[<delim>weight]``,
 delimiter tab or comma, ``#`` starts a comment line. Raw id tokens are remapped
-to dense 0-based integers in first-appearance order.
+to dense 0-based integers in first-appearance order. A weight must be a
+number, but it is not kept: every event is a positive.
+
+This module owns the text layouts of walkrec's data files: ``_fields`` splits
+every line of a raw or prepared file that is read line by line,
+``write_columns`` writes every tab-separated file ``prepare`` writes, and
+``read_json_object`` / ``write_json_object`` read and write ``manifest.json``
+and ``state.json``.
 """
 
 from __future__ import annotations
@@ -10,24 +17,18 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConfigError, EmptyDatasetError, GuardError, ParseError
 
 
-class Interaction(NamedTuple):
-    user: int
-    item: int
-    raw_weight: float | None = None
-
-
 @dataclass(frozen=True)
 class LoadResult:
     """Remapped events plus the dense-id -> raw-token tables."""
 
-    interactions: list[Interaction]
+    interactions: np.ndarray
+    """(events, 2) int64 dense (user, item) ids, in file order."""
     user_ids: list[str]
     item_ids: list[str]
 
@@ -139,11 +140,7 @@ class SplitSpec:
             raise ValueError("folds must be at least 2")
 
 
-def _sniff_delimiter(line: str) -> str:
-    return "\t" if "\t" in line else ","
-
-
-def _read_bytes(path: str) -> bytes:
+def read_bytes(path: str) -> bytes:
     """The whole file; a path that cannot be opened or read raises
     ParseError at line 0."""
     try:
@@ -153,13 +150,18 @@ def _read_bytes(path: str) -> bytes:
         raise ParseError(path, 0, str(e)) from None
 
 
-def _data_lines(path: str, blob: bytes):
-    """(line number, stripped text) of each non-blank, non-comment line of
-    blob, the bytes of path.
+def _fields(path: str, blob: bytes, fmt: str | None, too_few: str):
+    """(line number, fields) of each non-blank, non-comment line of blob,
+    the bytes of path.
 
-    The file is decoded whole, which is faster than line by line. Bytes that
-    are not UTF-8 raise ParseError at their line number.
+    fmt is "tsv", "csv", or None to split each line at a tab if it has one,
+    else at commas. The file is decoded whole, which is faster than line by
+    line. Bytes that are not UTF-8, and a line of fewer than two fields,
+    raise ParseError at their line number; too_few is the latter's message.
     """
+    if fmt not in (None, "tsv", "csv"):
+        raise ValueError(f"unknown format {fmt!r}")
+    delim = {"tsv": "\t", "csv": ","}.get(fmt)
     try:
         text = blob.decode("utf-8")
     except UnicodeDecodeError as e:
@@ -167,7 +169,10 @@ def _data_lines(path: str, blob: bytes):
                          f"not UTF-8 text ({e.reason})") from None
     for line_no, line in enumerate(map(str.strip, text.split("\n")), start=1):
         if line and not line.startswith("#"):
-            yield line_no, line
+            fields = line.split(delim or ("\t" if "\t" in line else ","))
+            if len(fields) < 2:
+                raise ParseError(path, line_no, too_few)
+            yield line_no, fields
 
 
 def load_interactions(path: str, fmt: str | None = None) -> LoadResult:
@@ -176,56 +181,43 @@ def load_interactions(path: str, fmt: str | None = None) -> LoadResult:
     fmt is "tsv", "csv", or None to sniff per line. Raises ParseError with the
     offending line number, EmptyDatasetError if no events are present.
     """
-    if fmt not in (None, "tsv", "csv"):
-        raise ValueError(f"unknown format {fmt!r}")
-    delim = {"tsv": "\t", "csv": ","}.get(fmt)
     user_map: dict[str, int] = {}
     item_map: dict[str, int] = {}
-    user_ids: list[str] = []
-    item_ids: list[str] = []
-    out: list[Interaction] = []
-    for line_no, line in _data_lines(path, _read_bytes(path)):
-        fields = line.split(delim or _sniff_delimiter(line))
-        if len(fields) < 2:
-            raise ParseError(path, line_no, "expected at least user and item fields")
+    users: list[int] = []
+    items: list[int] = []
+    for line_no, fields in _fields(path, read_bytes(path), fmt,
+                                   "expected at least user and item fields"):
         raw_u, raw_i = fields[0].strip(), fields[1].strip()
         if not raw_u or not raw_i:
             raise ParseError(path, line_no, "empty id token")
-        weight = None
         if len(fields) >= 3 and fields[2].strip():
             try:
-                weight = float(fields[2])
+                float(fields[2])
             except ValueError:
                 raise ParseError(path, line_no, f"bad weight {fields[2]!r}") from None
-        if raw_u not in user_map:
-            user_map[raw_u] = len(user_ids)
-            user_ids.append(raw_u)
-        if raw_i not in item_map:
-            item_map[raw_i] = len(item_ids)
-            item_ids.append(raw_i)
-        out.append(Interaction(user_map[raw_u], item_map[raw_i], weight))
-    if not out:
+        users.append(user_map.setdefault(raw_u, len(user_map)))
+        items.append(item_map.setdefault(raw_i, len(item_map)))
+    if not users:
         raise EmptyDatasetError(f"{path}: no interaction events")
-    return LoadResult(out, user_ids, item_ids)
+    return LoadResult(np.column_stack((np.array(users, dtype=np.int64),
+                                       np.array(items, dtype=np.int64))),
+                      list(user_map), list(item_map))
 
 
-def load_social(path: str, user_map: dict[str, int], fmt: str | None = None) -> list[tuple[int, int]]:
+def load_social(path: str, user_map: dict[str, int], fmt: str | None = None) -> np.ndarray:
     """Read a social edge file; endpoints are raw user tokens.
 
     Edges whose endpoints are absent from user_map are dropped (such users
-    have no interactions). Returns directed (source, target) pairs in the
-    map's id space.
+    have no interactions). Returns the directed (source, target) pairs in
+    the map's id space, in file order, as a (k, 2) int64 array.
     """
-    delim = {"tsv": "\t", "csv": ","}.get(fmt)
     pairs: list[tuple[int, int]] = []
-    for line_no, line in _data_lines(path, _read_bytes(path)):
-        fields = line.split(delim or _sniff_delimiter(line))
-        if len(fields) < 2:
-            raise ParseError(path, line_no, "expected source and target fields")
+    for _, fields in _fields(path, read_bytes(path), fmt,
+                             "expected source and target fields"):
         raw_s, raw_t = fields[0].strip(), fields[1].strip()
         if raw_s in user_map and raw_t in user_map:
             pairs.append((user_map[raw_s], user_map[raw_t]))
-    return pairs
+    return np.array(pairs, dtype=np.int64).reshape(-1, 2)
 
 
 def _sorted_unique(keys: np.ndarray) -> np.ndarray:
@@ -272,8 +264,7 @@ def social_edges(n: int, pairs, symmetrize: bool = False) -> SocialEdges:
     added for every user with no remaining out-edges so that transition rows
     are always well defined.
     """
-    arr = np.asarray(list(pairs) if not isinstance(pairs, np.ndarray) else pairs,
-                     dtype=np.int64).reshape(-1, 2)
+    arr = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     if arr.size and (arr.min() < 0 or arr.max() >= n):
         raise ValueError("social endpoint out of range")
     if symmetrize and arr.size:
@@ -312,11 +303,13 @@ def inverse_index(index: np.ndarray, old_size: int) -> np.ndarray:
 
 def binarize_and_filter(interactions, min_item_count: int = 3,
                         max_item_count: int = 100) -> FilterResult:
-    """Binarize events and drop out-of-band items, then empty users.
+    """Binarize (user, item) id pairs and drop out-of-band items, then empty
+    users.
 
-    Any event counts as a positive regardless of weight. Items whose distinct
-    consumer count falls outside [min_item_count, max_item_count] are removed;
-    users left with no positives are removed. One pass suffices: dropping an
+    interactions is LoadResult.interactions or any sequence of id pairs;
+    repeats of a pair count once. Items whose distinct consumer count falls
+    outside [min_item_count, max_item_count] are removed; users left with no
+    positives are removed. One pass suffices: dropping an
     item's pairs changes no other item's count, and removing users cannot
     change the surviving items' counts (each user-item pair is counted once).
     Remaining ids are re-packed densely, preserving relative order.
@@ -325,8 +318,8 @@ def binarize_and_filter(interactions, min_item_count: int = 3,
         raise ValueError("min_item_count must be at least 1")
     if max_item_count < min_item_count:
         raise ValueError("max_item_count must be >= min_item_count")
-    users = np.asarray([ev[0] for ev in interactions], dtype=np.int64)
-    items = np.asarray([ev[1] for ev in interactions], dtype=np.int64)
+    events = np.asarray(interactions, dtype=np.int64).reshape(-1, 2)
+    users, items = events[:, 0], events[:, 1]
     if users.size == 0:
         raise EmptyDatasetError("no interactions to filter")
     n0 = int(users.max()) + 1
@@ -412,12 +405,19 @@ def split_folds(matrix: InteractionMatrix, spec: SplitSpec
     return out
 
 
-def write_pairs(path: str, matrix: InteractionMatrix) -> None:
-    """Write a matrix as a dense-id TSV pair file (stable ordering)."""
-    text = "".join(f"{u}\t{i}\t1\n" for u, i in
-                   zip(matrix.row_users.tolist(), matrix.row_items.tolist()))
+def write_columns(path: str, *columns) -> None:
+    """Write one tab-separated line per row of the columns, in a single
+    write."""
+    line = "\t".join(["{}"] * len(columns)) + "\n"
+    text = "".join(map(line.format, *columns))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
+
+
+def write_pairs(path: str, matrix: InteractionMatrix) -> None:
+    """Write a matrix as a dense-id TSV pair file (stable ordering)."""
+    write_columns(path, matrix.row_users.tolist(), matrix.row_items.tolist(),
+                  [1] * matrix.nnz)
 
 
 _MAX_DIGITS = 18  # every 18-digit id fits in int64
@@ -470,10 +470,7 @@ def _token_values(buf: np.ndarray, starts: np.ndarray,
 def _pairs_by_line(path: str, blob: bytes):
     """(users, items, line numbers) of a pair file, read line by line."""
     us, its, line_nos = [], [], []
-    for line_no, line in _data_lines(path, blob):
-        fields = line.split(_sniff_delimiter(line))
-        if len(fields) < 2:
-            raise ParseError(path, line_no, "expected user and item fields")
+    for line_no, fields in _fields(path, blob, None, "expected user and item fields"):
         us.append(fields[0])
         its.append(fields[1])
         line_nos.append(line_no)
@@ -501,7 +498,7 @@ def read_pairs(path: str, n: int | None = None, m: int | None = None) -> Interac
     other (comments, commas, CRLF, signs, ...) is read line by line, with
     the same results and the same errors.
     """
-    blob = _read_bytes(path)
+    blob = read_bytes(path)
     one_pass = _pairs_in_one_pass(blob)
     if one_pass is None:
         users, items, line_nos = _pairs_by_line(path, blob)
@@ -532,3 +529,11 @@ def read_json_object(path: str) -> dict:
     if not isinstance(loaded, dict):
         raise ConfigError(f"{path}: expected a JSON object")
     return loaded
+
+
+def write_json_object(path: str, obj: dict) -> None:
+    """Write obj as manifest.json and state.json are written: sorted keys,
+    one-space indent, a final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, sort_keys=True, indent=1)
+        fh.write("\n")

@@ -9,6 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
+from .corpus import read_bytes
 from .errors import ConfigError, ParseError
 
 TAU = 1e-7
@@ -189,11 +190,7 @@ def read_checkpoint(path: str, magic: bytes, header: tuple, arrays,
     raises ParseError naming path and changes no array; what names the
     checkpoint kind in the message.
     """
-    try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
-    except OSError as e:
-        raise ParseError(path, 0, str(e)) from None
+    blob = read_bytes(path)
     start = len(magic) + 8 * len(header)
     if len(blob) < start or blob[:len(magic)] != magic:
         raise ParseError(path, 0, f"not a {what} checkpoint")

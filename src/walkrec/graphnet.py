@@ -35,6 +35,7 @@ GRAPH_MAGIC = b"PROPGRPH"
 GRAPH_VERSION = 1
 MODE_SOCIAL = 0
 MODE_PSEUDO = 1
+INIT_SCALE = 0.01  # standard deviation of the initial edge logits
 
 
 def segment_softmax(logits: np.ndarray, indptr: np.ndarray) -> np.ndarray:
@@ -206,17 +207,15 @@ class _RowSampler:
         return idx
 
 
-def build_social_graph(edges: SocialEdges, seed=0,
-                       init_scale: float = 0.01) -> SocialGraphParams:
+def build_social_graph(edges: SocialEdges, seed=0) -> SocialGraphParams:
     rng = np.random.default_rng(seed)
     return SocialGraphParams(
         edges=edges,
-        logits=rng.normal(0.0, init_scale, size=edges.n_edges),
+        logits=rng.normal(0.0, INIT_SCALE, size=edges.n_edges),
     )
 
 
-def build_pseudo_graph(train: InteractionMatrix, K: int = 32, seed=0,
-                       init_scale: float = 0.01) -> PseudoGraphParams:
+def build_pseudo_graph(train: InteractionMatrix, K: int = 32, seed=0) -> PseudoGraphParams:
     if K < 1:
         raise ConfigError("K must be at least 1")
     rng = np.random.default_rng(seed)
@@ -224,10 +223,10 @@ def build_pseudo_graph(train: InteractionMatrix, K: int = 32, seed=0,
     return PseudoGraphParams(
         train=train,
         K=K,
-        ui_logits=rng.normal(0.0, init_scale, size=nnz),
-        iu_logits=rng.normal(0.0, init_scale, size=nnz),
-        uc_logits=rng.normal(0.0, init_scale, size=(n, K)),
-        cu_logits=rng.normal(0.0, init_scale, size=(K, n)),
+        ui_logits=rng.normal(0.0, INIT_SCALE, size=nnz),
+        iu_logits=rng.normal(0.0, INIT_SCALE, size=nnz),
+        uc_logits=rng.normal(0.0, INIT_SCALE, size=(n, K)),
+        cu_logits=rng.normal(0.0, INIT_SCALE, size=(K, n)),
         mix_logits=np.zeros(n, dtype=np.float64),
     )
 

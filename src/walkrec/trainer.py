@@ -27,7 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import InteractionMatrix, SocialEdges, read_json_object
+from .corpus import (InteractionMatrix, SocialEdges, read_json_object,
+                     write_json_object)
 from .errors import ConfigError, GuardError
 from .exposure import forward_tape, g_term, phi_objective_and_backward
 from .factors import (ModelConfig, PreferenceFactors,
@@ -404,9 +405,7 @@ def save_state(out_dir: str, state: TrainState) -> None:
         save_graph(os.path.join(out_dir, "graph.bin"), state.graph)
     meta = {"config": state.config.to_flat(), "epoch": state.epoch,
             "history": state.history, "train_sha256": state.train_sha256}
-    with open(os.path.join(out_dir, "state.json"), "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    write_json_object(os.path.join(out_dir, "state.json"), meta)
 
 
 def read_state_json(out_dir: str) -> tuple[dict, TrainConfig]:

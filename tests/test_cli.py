@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, config merging, artifact round-trips."""
 
+import hashlib
 import json
 import os
 import shutil
@@ -7,7 +8,7 @@ import shutil
 import numpy as np
 import pytest
 
-from walkrec import cli, corpus, trainer
+from walkrec import cli, corpus, metrics, trainer
 
 
 def write_raw_dataset(tmp_path, n_users=30, n_items=40, events=500, seed=0,
@@ -35,6 +36,51 @@ def run_prepare(tmp_path, out_name="data", with_social=True, seed=0):
         argv += ["--social", soc, "--symmetrize"]
     assert cli.main(argv) == 0
     return out
+
+
+def golden_raw(delim):
+    """A raw log of 102 events over 14 users and 12 items: every third line
+    has a weight, every fifth ends in CRLF, comments and blanks between."""
+    lines = ["# user, item, optional weight", ""]
+    for k in range(100):
+        if k == 40:  # rare has two consumers; loner has nothing else
+            lines += [delim.join(["loner", "rare", "2"]), delim.join(["user12", "rare"])]
+        fields = [f"user{k % 13}", f"item{(k * k + k // 13) % 11}"]
+        if k % 3 == 0:
+            fields.append(str(k % 4 + 1))
+        lines.append(delim.join(fields) + ("\r" if k % 5 == 0 else ""))
+        if k % 17 == 0:
+            lines += ["# comment", "  "]
+    return "\n".join(lines) + "\n"
+
+
+def golden_social(delim):
+    """Social links with repeats, a self-edge and a user absent from the log."""
+    pairs = [(f"user{k % 12}", f"user{(k * 5 + 1) % 12}") for k in range(30)]
+    pairs += [("ghost", "user1"), ("user2", "ghost"), ("user3", "user3")]
+    return "".join(f"{a}{delim}{b}\n" for a, b in pairs)
+
+
+GOLDEN_SHA256 = {
+    "tsv/idmap_items.tsv": "c9455af04ea0d6d087bbea1cc7e891366e8d16e3e75d5b2f583444926715e338",
+    "tsv/idmap_users.tsv": "506bb21b7215ff7a011cd0d055e1264dac9c2f341cd8f6795bf90524dc1c6d80",
+    "tsv/interactions_test.tsv": "908c4d7848fa468e73326f2de9a3c42dfb103f3dca17384a1204c6162ea2ffcf",
+    "tsv/interactions_train.tsv": "5781ec678c75bf8024781020dc6f5b780e2174ee6881ee080dd7abc0c5ac50db",
+    "tsv/manifest.json": "635ad7398236ab24fd47bab07c32d510904ee6f93f05fbbd96b676ecdba5b09f",
+    "tsv/social.tsv": "9377ba309903ce70e5477358646fb1134fae1087db599ac0dc44da2d8a096ecd",
+    "csv/fold0_test.tsv": "c278b9b2f9f519c14033dc589970974f0e759017fb205a312f8858eaca1450be",
+    "csv/fold0_train.tsv": "08b930f77ab3e406486617a480018f23dcb54dafa16ec9454c099316ba961df6",
+    "csv/fold1_test.tsv": "d8549a0a762d77e1ef9354714849f5450e7e2da4cdc7200b199cf59c174689c7",
+    "csv/fold1_train.tsv": "2ee2685bc740b0f4ea78ac228f90cc11756f06f360568fe8deeae8d94f24ddbe",
+    "csv/fold2_test.tsv": "0da72b0f183b330c44c7054ee4f3008a352bc5a5e7398475f474c2b5d17a5dae",
+    "csv/fold2_train.tsv": "be6d0f3d441c24430a0c81f98efc763ed2cadff818873d414ca22d0d90d1371a",
+    "csv/idmap_items.tsv": "835aa238499370a6785ff7ed3298424274407c03295816d38be369893a2a6467",
+    "csv/idmap_users.tsv": "b0c70034d13392560322f3725a82ac8c061474f6688cf32819bb41e61c261e56",
+    "csv/interactions_test.tsv": "c278b9b2f9f519c14033dc589970974f0e759017fb205a312f8858eaca1450be",
+    "csv/interactions_train.tsv": "08b930f77ab3e406486617a480018f23dcb54dafa16ec9454c099316ba961df6",
+    "csv/manifest.json": "cfcadd832733580dd5062f8562e80684e9f5998e41038f00b32f4cd2321c8f2d",
+    "csv/social.tsv": "d0b9c88c051829fee53c74f9fd38b3764ecebb7f772e5cec313def478b3906bc",
+}
 
 
 FAST_TRAIN = ["--epochs", "2", "--d", "4", "--k", "4", "--alpha", "10",
@@ -291,6 +337,20 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert message in err and "internal error" not in err
 
+    @pytest.mark.parametrize("command,flag,value", [
+        ("sampler", "--alpha", "7"),  # alpha comes from --draws
+        ("tm-sweep", "--t-m", "7"),  # depths come from --tm-values
+        ("ablation", "--mode", "samwalker"),  # ablation trains samwalker_pp
+        ("ablation", "--mode", "samwalker_pp"),
+    ])
+    def test_bench_flag_it_would_replace_is_2(self, capsys, command, flag, value):
+        fast = ["--draws", "2000"] if command == "sampler" else ["--epochs", "1"]
+        code = cli.main(["bench", command, "--synth", "n=20,m=30,d=4,groups=2,seed=1",
+                         flag, value] + fast)
+        assert code == 2
+        assert (f"{flag} does not apply to bench {command}"
+                in capsys.readouterr().err)
+
     def test_guard_is_3(self, tmp_path):
         code = cli.main(["bench", "sampler",
                          "--synth", "n=600,m=600,d=4,groups=2,seed=0",
@@ -365,6 +425,27 @@ class TestPrepare:
         for name in names:
             assert corpus.read_pairs(name).nnz > 0
 
+    def test_golden_outputs(self, tmp_path):
+        # every output file's SHA-256 is pinned: no byte of prepare's output
+        # may change while its readers and writers are reworked
+        for ext, delim in (("tsv", "\t"), ("csv", ",")):
+            (tmp_path / f"raw.{ext}").write_bytes(golden_raw(delim).encode())
+            (tmp_path / f"social.{ext}").write_bytes(golden_social(delim).encode())
+        runs = {"tsv": ["--symmetrize", "--min-item-count", "3",
+                        "--max-item-count", "7", "--test-fraction", "0.25",
+                        "--seed", "5"],
+                "csv": ["--format", "csv", "--folds", "3",
+                        "--min-item-count", "2", "--seed", "1"]}
+        got = {}
+        for ext, flags in runs.items():
+            out = tmp_path / ext
+            assert cli.main(["prepare", "--interactions", str(tmp_path / f"raw.{ext}"),
+                             "--social", str(tmp_path / f"social.{ext}"),
+                             "--out", str(out)] + flags) == 0
+            for path in out.iterdir():
+                got[f"{ext}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert got == GOLDEN_SHA256
+
     def test_folds_mode(self, tmp_path):
         raw, _ = write_raw_dataset(tmp_path, seed=3)
         out = str(tmp_path / "folds")
@@ -400,6 +481,29 @@ class TestTrainEvaluate:
                          "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert "ndcg" in payload and "recall@5" in payload
+
+    def test_evaluate_report_bytes(self, tmp_path, capsys, monkeypatch):
+        data = run_prepare(tmp_path)
+        model = str(tmp_path / "model")
+        assert cli.main(["train", "--data", data, "--out", model] + FAST_TRAIN) == 0
+        report = metrics.EvalReport(ks=(3, 5), recall={3: 2 / 3, 5: 0.75},
+                                    precision={3: 0.25, 5: 0.2}, ndcg=0.5,
+                                    mrr=0.125, users=7)
+        monkeypatch.setattr(metrics, "evaluate", lambda *args, **kw: report)
+        argv = ["evaluate", "--data", data, "--model", model, "--ks", "3,5"]
+        want = ("metric,K,value\nrecall,3,0.666667\nrecall,5,0.750000\n"
+                "precision,3,0.250000\nprecision,5,0.200000\nndcg,,0.500000\n"
+                "mrr,,0.125000\nusers,,7.000000\n")
+        want_json = ('{"mrr": 0.125, "ndcg": 0.5, "precision@3": 0.25, '
+                     '"precision@5": 0.2, "recall@3": 0.6666666666666666, '
+                     '"recall@5": 0.75, "users": 7.0}\n')
+        capsys.readouterr()
+        for flags, text in (([], want), (["--json"], want_json)):
+            out = tmp_path / "report.out"
+            assert cli.main(argv + flags + ["--out", str(out)]) == 0
+            assert out.read_bytes() == text.encode()
+            assert cli.main(argv + flags) == 0
+            assert capsys.readouterr().out == text
 
     def test_config_file_with_flag_override(self, tmp_path):
         data = run_prepare(tmp_path)

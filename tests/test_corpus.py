@@ -26,14 +26,19 @@ class TestLoadInteractions:
         loaded = corpus.load_interactions(path)
         assert loaded.user_ids == ["alice", "bob"]
         assert loaded.item_ids == ["red", "blue"]
-        assert [(r.user, r.item) for r in loaded.interactions] == [(0, 0), (1, 1), (0, 1)]
-        assert loaded.interactions[0].raw_weight == 3.0
-        assert loaded.interactions[1].raw_weight is None
+        assert loaded.interactions.dtype == np.int64
+        assert loaded.interactions.tolist() == [[0, 0], [1, 1], [0, 1]]
 
     def test_csv(self, tmp_path):
         path = write(tmp_path, "a.csv", "u1,i1\nu2,i2\n")
         loaded = corpus.load_interactions(path, fmt="csv")
         assert len(loaded.interactions) == 2
+        social = corpus.load_social(path, {"u1": 0, "i2": 1}, fmt="csv")
+        assert social.dtype == np.int64 and social.shape == (0, 2)
+        with pytest.raises(ValueError, match="unknown format 'xml'"):
+            corpus.load_interactions(path, fmt="xml")
+        with pytest.raises(ValueError, match="unknown format 'xml'"):
+            corpus.load_social(path, {"u1": 0}, fmt="xml")
 
     def test_sniffs_csv(self, tmp_path):
         path = write(tmp_path, "a.txt", "u1,i1,2\nu2,i2,1\n")
@@ -47,9 +52,10 @@ class TestLoadInteractions:
         assert "2" in str(err.value)
 
     def test_bad_weight_reports_line_number(self, tmp_path):
-        path = write(tmp_path, "bad.tsv", "a\tb\tnotanumber\n")
-        with pytest.raises(ParseError):
+        path = write(tmp_path, "bad.tsv", "a\tb\t1.5\n" "a\tc\tnotanumber\n")
+        with pytest.raises(ParseError, match="bad weight") as err:
             corpus.load_interactions(path)
+        assert err.value.line_no == 2
 
     def test_empty_file(self, tmp_path):
         path = write(tmp_path, "empty.tsv", "# nothing\n\n")
@@ -159,7 +165,7 @@ class TestFilter:
         # item 0 has 1 consumer (dropped), item 1 has 3 (kept), item 2 has 2 (dropped)
         us = [0, 0, 1, 2, 1, 2]
         its = [0, 1, 1, 1, 2, 2]
-        inter = [corpus.Interaction(u, i) for u, i in zip(us, its)]
+        inter = list(zip(us, its))
         result = corpus.binarize_and_filter(inter, min_item_count=3,
                                             max_item_count=100)
         assert result.matrix.m == 1
@@ -168,9 +174,7 @@ class TestFilter:
 
     def test_cascade_drops_emptied_users(self):
         # user 2 only consumed the unpopular item; after the item goes, so does the user
-        inter = [corpus.Interaction(0, 0), corpus.Interaction(1, 0),
-                 corpus.Interaction(0, 1), corpus.Interaction(1, 1),
-                 corpus.Interaction(2, 2)]
+        inter = [(0, 0), (1, 0), (0, 1), (1, 1), (2, 2)]
         result = corpus.binarize_and_filter(inter, min_item_count=2,
                                             max_item_count=10)
         assert result.matrix.n == 2
@@ -178,21 +182,20 @@ class TestFilter:
         assert result.user_index.tolist() == [0, 1]
 
     def test_max_count_drops_blockbusters(self):
-        inter = [corpus.Interaction(u, 0) for u in range(5)]
-        inter += [corpus.Interaction(u, 1) for u in range(3)]
+        inter = [(u, 0) for u in range(5)] + [(u, 1) for u in range(3)]
         result = corpus.binarize_and_filter(inter, min_item_count=2,
                                             max_item_count=4)
         assert result.item_index.tolist() == [1]
 
     def test_everything_filtered_raises(self):
-        inter = [corpus.Interaction(0, 0)]
+        inter = [(0, 0)]
         with pytest.raises(EmptyDatasetError):
             corpus.binarize_and_filter(inter, min_item_count=5,
                                        max_item_count=10)
 
     def test_duplicates_collapse_before_counting(self):
         # item 0 has 2 *distinct* consumers despite 11 events, below floor 3
-        inter = [corpus.Interaction(0, 0)] * 10 + [corpus.Interaction(1, 0)]
+        inter = [(0, 0)] * 10 + [(1, 0)]
         with pytest.raises(EmptyDatasetError):
             corpus.binarize_and_filter(inter, min_item_count=3,
                                        max_item_count=10)

@@ -1,7 +1,13 @@
-"""The README's library example runs as printed, with fewer epochs."""
+"""The README's library and command-line examples run as printed, with
+fewer epochs."""
 
 import os
 import re
+import shlex
+
+import numpy as np
+
+from walkrec import cli
 
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                       "README.md")
@@ -23,3 +29,25 @@ def test_top_level_names_are_the_examples():
         block = re.search(r"from walkrec import \((.*?)\)", fh.read(), flags=re.S)
     shown = {name.strip() for name in block.group(1).split(",")}
     assert set(walkrec.__all__) - {"__version__"} == shown
+
+
+def test_command_line_example_runs(tmp_path, monkeypatch, capsys):
+    with open(README, encoding="utf-8") as fh:
+        blocks = re.findall(r"```sh\n(.*?)```", fh.read().replace("\\\n", " "),
+                            flags=re.S)
+    argvs = {argv[1]: argv[1:] for argv in map(shlex.split, "\n".join(blocks).splitlines())
+             if argv[:1] == ["walkrec"]}
+    epochs = argvs["train"].index("--epochs") + 1
+    assert argvs["train"][epochs] == "50"
+    argvs["train"][epochs] = "2"
+    rng = np.random.default_rng(0)
+    (tmp_path / "raw.tsv").write_text("".join(
+        f"u{u}\ti{i}\n" for u, i in rng.integers(0, [40, 60], size=(600, 2))))
+    (tmp_path / "edges.tsv").write_text("".join(
+        f"u{a}\tu{b}\n" for a, b in rng.integers(0, 40, size=(120, 2))))
+    monkeypatch.chdir(tmp_path)
+    for command in ("prepare", "train", "evaluate"):
+        assert cli.main(argvs[command]) == 0, command
+    report = capsys.readouterr().out.splitlines()
+    assert report[-8] == "metric,K,value"
+    assert report[-7].startswith("recall,5,")

@@ -226,11 +226,16 @@ class TestGuidedWalks:
     @pytest.mark.parametrize("mode", ["social", "pseudo"])
     def test_stop_users_match_search_stepping(self, mode, monkeypatch):
         train = random_matrix(60, 80, 0.1, seed=44)
+        # logits of sd 3 (not the 0.01 of a fresh graph) give peaked rows
+        rng = np.random.default_rng(44)
         if mode == "social":
-            params = build_social_graph(random_social(60, 6, seed=44), seed=44,
-                                        init_scale=3.0)
+            params = build_social_graph(random_social(60, 6, seed=44))
+            params.logits = rng.normal(0.0, 3.0, size=params.logits.shape)
         else:
-            params = build_pseudo_graph(train, K=5, seed=44, init_scale=3.0)
+            params = build_pseudo_graph(train, K=5)
+            for name in ("ui_logits", "iu_logits", "uc_logits", "cu_logits"):
+                setattr(params, name,
+                        rng.normal(0.0, 3.0, size=getattr(params, name).shape))
             params.mix_logits = np.random.default_rng(45).normal(size=60)
         fold = normalize_edges(params)
         cfg = wk.SamplerConfig(alpha=200, beta=2.0, c=0.9, t_m=5, seed=0)
