@@ -77,17 +77,17 @@ def cmd_prepare(args: argparse.Namespace) -> int:
                                         min_item_count=args.min_item_count,
                                         max_item_count=args.max_item_count)
     matrix = result.matrix
+    spec = corpus.SplitSpec(test_fraction=args.test_fraction, seed=args.seed)
+    folds = None if args.folds is None else corpus.split_folds(matrix, args.folds, args.seed)
     os.makedirs(args.out, exist_ok=True)
-    spec = corpus.SplitSpec(test_fraction=args.test_fraction,
-                            folds=args.folds, seed=args.seed)
-    if args.folds:
-        splits = corpus.split_folds(matrix, spec)
-        for j, (tr, te) in enumerate(splits):
+    if folds is None:
+        train, test = corpus.split_train_test(matrix, spec)
+    else:
+        for j, (tr, te) in enumerate(folds):
             corpus.write_pairs(os.path.join(args.out, f"fold{j}_train.tsv"), tr)
             corpus.write_pairs(os.path.join(args.out, f"fold{j}_test.tsv"), te)
-        train, test = splits[0]
-    else:
-        train, test = corpus.split_train_test(matrix, spec)
+            if j == 0:  # fold 0 is also the run's train/test split
+                train, test = tr, te
     corpus.write_pairs(os.path.join(args.out, "interactions_train.tsv"), train)
     corpus.write_pairs(os.path.join(args.out, "interactions_test.tsv"), test)
     n_social = 0

@@ -130,14 +130,12 @@ class FilterResult:
 @dataclass(frozen=True)
 class SplitSpec:
     test_fraction: float
-    folds: int | None = None
     seed: int = 0
 
     def __post_init__(self):
         if not 0.0 <= self.test_fraction < 1.0:
-            raise ValueError("test_fraction must lie in [0, 1)")
-        if self.folds is not None and self.folds < 2:
-            raise ValueError("folds must be at least 2")
+            raise ConfigError(
+                f"test_fraction must lie in [0, 1), got {self.test_fraction}")
 
 
 def read_bytes(path: str) -> bytes:
@@ -147,7 +145,7 @@ def read_bytes(path: str) -> bytes:
         with open(path, "rb") as fh:
             return fh.read()
     except OSError as e:
-        raise ParseError(path, 0, str(e)) from None
+        raise ParseError(path, 0, f"cannot read ({e.strerror})") from None
 
 
 def _fields(path: str, blob: bytes, fmt: str | None, too_few: str):
@@ -211,13 +209,15 @@ def load_social(path: str, user_map: dict[str, int], fmt: str | None = None) -> 
     have no interactions). Returns the directed (source, target) pairs in
     the map's id space, in file order, as a (k, 2) int64 array.
     """
-    pairs: list[tuple[int, int]] = []
+    sources: list[int] = []
+    targets: list[int] = []
     for _, fields in _fields(path, read_bytes(path), fmt,
                              "expected source and target fields"):
-        raw_s, raw_t = fields[0].strip(), fields[1].strip()
-        if raw_s in user_map and raw_t in user_map:
-            pairs.append((user_map[raw_s], user_map[raw_t]))
-    return np.array(pairs, dtype=np.int64).reshape(-1, 2)
+        sources.append(user_map.get(fields[0].strip(), -1))
+        targets.append(user_map.get(fields[1].strip(), -1))
+    pairs = np.column_stack((np.array(sources, dtype=np.int64),
+                             np.array(targets, dtype=np.int64)))
+    return pairs[(pairs >= 0).all(axis=1)]
 
 
 def _sorted_unique(keys: np.ndarray) -> np.ndarray:
@@ -315,9 +315,10 @@ def binarize_and_filter(interactions, min_item_count: int = 3,
     Remaining ids are re-packed densely, preserving relative order.
     """
     if min_item_count < 1:
-        raise ValueError("min_item_count must be at least 1")
+        raise ConfigError(f"min_item_count must be at least 1, got {min_item_count}")
     if max_item_count < min_item_count:
-        raise ValueError("max_item_count must be >= min_item_count")
+        raise ConfigError(f"max_item_count must be >= min_item_count "
+                          f"({min_item_count}), got {max_item_count}")
     events = np.asarray(interactions, dtype=np.int64).reshape(-1, 2)
     users, items = events[:, 0], events[:, 1]
     if users.size == 0:
@@ -341,68 +342,66 @@ def binarize_and_filter(interactions, min_item_count: int = 3,
     return FilterResult(matrix=matrix, user_index=user_index, item_index=item_index)
 
 
-def _split_user(rng: np.random.Generator, row: np.ndarray, fraction: float):
-    k = row.shape[0]
-    n_test = int(k * fraction)
-    if k - n_test < 1:
-        n_test = k - 1
-    if n_test <= 0:
-        return row, row[:0]
-    perm = rng.permutation(row)
-    return np.sort(perm[n_test:]), np.sort(perm[:n_test])
+def _shuffle_ranks(matrix: InteractionMatrix, seed: int,
+                   draws: np.ndarray) -> np.ndarray:
+    """Each pair's position in its user's shuffled row, flat like row_items.
+
+    One generator seeded with seed shuffles the row of each user with
+    draws[user] set, in user-id order; other rows keep their order.
+    """
+    rng = np.random.default_rng(seed)
+    within = np.arange(matrix.nnz) - matrix.row_indptr[matrix.row_users]
+    drawn = np.flatnonzero(draws[matrix.row_users])
+    perms = [rng.permutation(k) for k in matrix.row_counts[draws].tolist()]
+    ranks = within.copy()
+    # the pair at shuffle position r of a row starting at s is s + perm[r]
+    ranks[drawn - within[drawn] + np.concatenate([within[:0], *perms])] = within[drawn]
+    return ranks
+
+
+def _split(matrix: InteractionMatrix, test: np.ndarray
+           ) -> tuple[InteractionMatrix, InteractionMatrix]:
+    """(train, test): the pairs of matrix where the flat mask test is False,
+    and where it is True."""
+    users, items = matrix.row_users, matrix.row_items
+    return (matrix_from_pairs(matrix.n, matrix.m, users[~test], items[~test]),
+            matrix_from_pairs(matrix.n, matrix.m, users[test], items[test]))
 
 
 def split_train_test(matrix: InteractionMatrix, spec: SplitSpec
                      ) -> tuple[InteractionMatrix, InteractionMatrix]:
     """Per-user holdout split; each user keeps at least one train positive.
 
-    A single generator seeded with spec.seed is consumed in user-id order, so
-    the split is a pure function of (matrix, spec). Per user, floor(k * f)
-    positives go to test.
+    Per user with k positives, n_test = min(floor(k * f), k - 1) go to test:
+    the first n_test of the user's row shuffled as split_folds shuffles it,
+    from one generator seeded with spec.seed and consumed in user-id order
+    by the users with n_test > 0. The split is a pure function of
+    (matrix, spec).
     """
-    rng = np.random.default_rng(spec.seed)
-    train_u, train_i, test_u, test_i = [], [], [], []
-    for u in range(matrix.n):
-        tr, te = _split_user(rng, matrix.row(u), spec.test_fraction)
-        train_u.append(np.full(tr.shape[0], u, dtype=np.int64))
-        train_i.append(tr)
-        test_u.append(np.full(te.shape[0], u, dtype=np.int64))
-        test_i.append(te)
-    train = matrix_from_pairs(matrix.n, matrix.m,
-                              np.concatenate(train_u), np.concatenate(train_i))
-    test = matrix_from_pairs(matrix.n, matrix.m,
-                             np.concatenate(test_u), np.concatenate(test_i))
-    return train, test
+    k = matrix.row_counts
+    n_test = np.minimum((k * spec.test_fraction).astype(np.int64), k - 1)
+    ranks = _shuffle_ranks(matrix, spec.seed, n_test > 0)
+    return _split(matrix, ranks < n_test[matrix.row_users])
 
 
-def split_folds(matrix: InteractionMatrix, spec: SplitSpec
-                ) -> list[tuple[InteractionMatrix, InteractionMatrix]]:
-    """Deal each user's shuffled positives round-robin into spec.folds folds.
+def split_folds(matrix: InteractionMatrix, folds: int, seed: int):
+    """A generator of the (train, test) pair of each fold, built one at a time.
 
-    Fold j's test set is chunk j; users with a single positive never appear in
-    any test set so that every train fold keeps them.
+    Every user's row is shuffled as split_train_test shuffles it, from one
+    generator seeded with seed and consumed in user-id order by every user,
+    and dealt round-robin: fold j's test set holds shuffle positions j,
+    j + folds, ... Users with a single positive never appear in any test
+    set, so that every train fold keeps them. Memory is O(nnz) whatever
+    folds is. A fold count below 2, or above the longest row (that fold and
+    every later one would test nothing), raises ConfigError at the call.
     """
-    if spec.folds is None:
-        raise ValueError("spec.folds is not set")
-    rng = np.random.default_rng(spec.seed)
-    fold_keys: list[list[np.ndarray]] = [[] for _ in range(spec.folds)]
-    m = np.int64(matrix.m)
-    for u in range(matrix.n):
-        row = matrix.row(u)
-        perm = rng.permutation(row)
-        if row.shape[0] < 2:
-            continue
-        for j in range(spec.folds):
-            fold_keys[j].append(np.int64(u) * m + perm[j::spec.folds])
-    all_keys = matrix._pair_keys
-    out = []
-    for j in range(spec.folds):
-        te = (np.sort(np.concatenate(fold_keys[j]))
-              if fold_keys[j] else np.zeros(0, np.int64))
-        tr = np.setdiff1d(all_keys, te, assume_unique=True)
-        out.append((matrix_from_pairs(matrix.n, matrix.m, tr // m, tr % m),
-                    matrix_from_pairs(matrix.n, matrix.m, te // m, te % m)))
-    return out
+    longest = int(matrix.row_counts.max(initial=0))
+    if not 2 <= folds <= longest:
+        raise ConfigError(f"folds must be at least 2 and at most {longest}, "
+                          f"the most positives of any user; got {folds}")
+    ranks = _shuffle_ranks(matrix, seed, np.ones(matrix.n, dtype=bool))
+    fold_of = np.where(matrix.row_counts[matrix.row_users] >= 2, ranks % folds, -1)
+    return (_split(matrix, fold_of == j) for j in range(folds))
 
 
 def write_columns(path: str, *columns) -> None:
@@ -518,14 +517,11 @@ def read_json_object(path: str) -> dict:
     """A JSON object from path (manifest.json, state.json); anything else is
     a ParseError or ConfigError naming the file."""
     try:
-        with open(path, "rb") as fh:
-            loaded = json.loads(fh.read())
+        loaded = json.loads(read_bytes(path))
     except json.JSONDecodeError as e:
         raise ParseError(path, e.lineno, f"not valid JSON ({e.msg})") from None
     except UnicodeDecodeError as e:
         raise ParseError(path, 0, f"not valid JSON ({e.reason})") from None
-    except OSError as e:
-        raise ParseError(path, 0, f"cannot read ({e.strerror})") from None
     if not isinstance(loaded, dict):
         raise ConfigError(f"{path}: expected a JSON object")
     return loaded

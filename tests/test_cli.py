@@ -3,7 +3,10 @@
 import hashlib
 import json
 import os
+import resource
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -173,7 +176,7 @@ class TestExitCodes:
         code = cli.main(["train", "--data", data, "--mode", "samwalker",
                          "--out", str(tmp_path / "model")] + FAST_TRAIN)
         assert code == 2
-        assert "social.tsv:0:" in capsys.readouterr().err
+        assert "social.tsv:0: cannot read (Is a directory)" in capsys.readouterr().err
 
     @pytest.mark.parametrize("manifest", [b"{bad", b'{"m": 3}', b"[1,2]",
                                           b'{"n": "30", "m": 40}',
@@ -190,7 +193,10 @@ class TestExitCodes:
         code = cli.main(["train", "--data", data,
                          "--out", str(tmp_path / "model")] + FAST_TRAIN)
         assert code == 2
-        assert "manifest.json" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "manifest.json" in err
+        if manifest is None:  # the same message as for any other file
+            assert "manifest.json:0: cannot read (Is a directory)" in err
 
     def test_repeated_cutoff_is_2(self, tmp_path):
         with pytest.raises(cli.ConfigError):
@@ -350,6 +356,46 @@ class TestExitCodes:
         assert code == 2
         assert (f"{flag} does not apply to bench {command}"
                 in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("flags,setting", [
+        (["--folds", "0"], "folds"),
+        (["--folds", "1"], "folds"),
+        (["--folds", "-3"], "folds"),
+        (["--folds", "LONGEST+1"], "folds"),  # its later folds would test nothing
+        (["--test-fraction", "1.5"], "test_fraction"),
+        (["--test-fraction", "-0.1"], "test_fraction"),
+        (["--test-fraction", "nan"], "test_fraction"),
+        (["--min-item-count", "0"], "min_item_count"),
+        (["--min-item-count", "-1"], "min_item_count"),
+        (["--min-item-count", "5", "--max-item-count", "4"], "max_item_count"),
+        (["--folds", "3"], None),  # the control: the cap leaves room to run
+    ], ids=["folds-0", "folds-1", "folds-neg", "folds-above-longest", "fraction-1.5",
+            "fraction-neg", "fraction-nan", "min-0", "min-neg", "max-below-min",
+            "control"])
+    def test_bad_split_or_filter_value_is_2(self, tmp_path, flags, setting):
+        # each row runs prepare in its own child process with its address
+        # space capped, so a refusal that came too late would fail fast
+        raw, _ = write_raw_dataset(tmp_path)
+        loaded = corpus.load_interactions(raw)
+        longest = int(corpus.binarize_and_filter(
+            loaded.interactions, min_item_count=2).matrix.row_counts.max())
+        flags = [str(longest + 1) if f == "LONGEST+1" else f for f in flags]
+        out = tmp_path / "data"
+        cap = 512 << 20
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+            [os.path.dirname(os.path.dirname(cli.__file__)), os.environ.get("PYTHONPATH", "")]))
+        child = subprocess.run(
+            [sys.executable, "-m", "walkrec.cli", "prepare", "--interactions", raw,
+             "--min-item-count", "2", "--out", str(out)] + flags,
+            env=env, capture_output=True, text=True, timeout=120,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+        if setting is None:
+            assert child.returncode == 0, child.stderr
+            assert (out / "fold2_test.tsv").stat().st_size > 0
+        else:
+            assert child.returncode == 2, child.stderr
+            assert setting in child.stderr
+            assert not out.exists()
 
     def test_guard_is_3(self, tmp_path):
         code = cli.main(["bench", "sampler",

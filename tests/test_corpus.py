@@ -1,12 +1,14 @@
 """Loading, filtering, splitting, and the interaction matrix container."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from walkrec import corpus
-from walkrec.errors import EmptyDatasetError, GuardError, ParseError
+from walkrec.errors import ConfigError, EmptyDatasetError, GuardError, ParseError
 
 
 def write(tmp_path, name, text):
@@ -239,8 +241,7 @@ class TestSplits:
     def test_folds_partition(self):
         from tests.conftest import random_matrix
         mat = random_matrix(15, 25, 0.25, seed=4, min_row=3)
-        spec = corpus.SplitSpec(test_fraction=0.0, folds=3, seed=1)
-        splits = corpus.split_folds(mat, spec)
+        splits = list(corpus.split_folds(mat, 3, 1))
         assert len(splits) == 3
         all_test = []
         for train, test in splits:
@@ -257,11 +258,58 @@ class TestSplits:
             key = u * mat.m + mat.row(u)[0]
             assert key not in stacked
 
+    def test_splits_match_a_per_user_loop(self):
+        # the reference shuffles each user's row by itself, in user-id order
+        from tests.conftest import random_matrix
+        for seed in range(6):
+            mat = random_matrix(25, 30, 0.2, seed=seed, min_row=seed % 3)
+            for f in (0.0, 0.25, 0.5, 0.9):
+                rng = np.random.default_rng(seed)
+                want = [np.zeros(0, np.int64)]
+                for u in range(mat.n):
+                    n_test = min(int(mat.row(u).size * f), mat.row(u).size - 1)
+                    if n_test > 0:
+                        want.append(u * mat.m + np.sort(rng.permutation(mat.row(u))[:n_test]))
+                _, test = corpus.split_train_test(mat, corpus.SplitSpec(f, seed))
+                assert np.array_equal(test._pair_keys, np.concatenate(want))
+            for folds in (2, 3):
+                rng = np.random.default_rng(seed)
+                perms = [rng.permutation(mat.row(u)) for u in range(mat.n)]
+                for j, (train, test) in enumerate(corpus.split_folds(mat, folds, seed)):
+                    want = [u * mat.m + np.sort(p[j::folds])
+                            for u, p in enumerate(perms) if p.size >= 2]
+                    assert np.array_equal(test._pair_keys, np.concatenate(want))
+                    assert train.nnz + test.nnz == mat.nnz
+
     def test_spec_validation(self):
-        with pytest.raises(ValueError):
+        from tests.conftest import random_matrix
+        mat = random_matrix(15, 25, 0.25, seed=4, min_row=3)
+        with pytest.raises(ValueError, match="test_fraction"):
             corpus.SplitSpec(test_fraction=1.5)
-        with pytest.raises(ValueError):
-            corpus.SplitSpec(test_fraction=0.1, folds=1)
+        longest = int(mat.row_counts.max())
+        for folds in (1, 0, longest + 1):  # refused at the call, unconsumed
+            with pytest.raises(ConfigError, match="folds"):
+                corpus.split_folds(mat, folds, 0)
+        assert len(list(corpus.split_folds(mat, longest, 0))) == longest
+
+    def test_fold_memory_follows_the_data(self):
+        # the folds are built one at a time, so consuming the most folds a
+        # matrix allows peaks near consuming two
+        from tests.conftest import random_matrix
+        mat = random_matrix(200, 300, 0.05, seed=6, min_row=2)
+        assert mat.nnz > 2000
+
+        def peak(folds):
+            tracemalloc.start()
+            for _ in corpus.split_folds(mat, folds, 0):
+                pass
+            peak_bytes = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            return peak_bytes
+
+        longest = int(mat.row_counts.max())
+        assert longest >= 20
+        assert peak(longest) <= 2 * peak(2)
 
 
 class TestPairsIO:
