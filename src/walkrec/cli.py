@@ -4,7 +4,8 @@ Exit codes: 0 success, 2 usage or configuration problems (argparse uses the
 same code), 3 refused by a size guard or estimator validity check, 1 anything
 else. The train command accepts a JSON config file; explicit flags override
 file values, file values override defaults, and unknown file keys are
-rejected.
+rejected. Every train and bench setting flag is built from
+trainer.FLAT_FIELDS, so its name is the --config key with - for _.
 """
 
 from __future__ import annotations
@@ -20,20 +21,45 @@ from . import corpus, metrics, synth, trainer
 from .errors import (ConfigError, EmptyDatasetError, EstimatorError,
                      GuardError, ParseError, WalkrecError)
 from .factors import load_factors
-from .graphnet import build_pseudo_graph, build_social_graph, dense_transition
+from .graphnet import dense_transition
 from .oracle import dense_gamma_truncated
 from .trainer import TrainConfig, parse_ks
-from .walker import BASELINE_KINDS, BaselineSampler, SamplerConfig, WalkEngine
+from .walker import BASELINE_KINDS, BaselineSampler, WalkEngine
+
+# The settings every bench subcommand takes, and bench's own defaults for
+# some of them; the rest default as TrainConfig does.
+BENCH_SETTINGS = ("mode", "d", "k", "epochs", "seed", "alpha", "beta", "c", "t_m")
+BENCH_DEFAULTS = {"d": 16, "k": 8, "epochs": 30, "seed": 0}
 
 
-def _merge_train_settings(args: argparse.Namespace) -> dict:
-    """The --config file's settings with the train flags that were given
-    laid over them."""
-    settings = corpus.read_json_object(args.config) if args.config else {}
-    for key in trainer.FLAT_FIELDS:
-        if getattr(args, key) is not None:
-            settings[key] = getattr(args, key)
-    return settings
+def _add_setting_flags(p: argparse.ArgumentParser, keys, defaults: dict,
+                       modes: tuple) -> None:
+    """One --flag per FLAT_FIELDS key in keys, typed by the schema, with
+    --mode limited to modes; a flag not in defaults is None unless given.
+    Its help shows defaults' value, else TrainConfig's."""
+    shown = {**TrainConfig().to_flat(), **defaults}
+    choices = {"mode": modes, "ablation": trainer.ABLATIONS}
+    for key in keys:
+        _, _, parse, text = trainer.FLAT_FIELDS[key]
+        p.add_argument("--" + key.replace("_", "-"), dest=key,
+                       type=parse if parse in (int, float) else str,
+                       choices=choices.get(key), default=defaults.get(key),
+                       help=f"{text} (default {shown[key]})")
+
+
+def _merge_train_settings(args: argparse.Namespace, **overrides) -> dict:
+    """A run's flat settings: the --config file's (bench has none), the
+    setting flags that were given laid over them, then a bench's overrides.
+    A given flag that an override would replace is refused."""
+    config = getattr(args, "config", None)
+    settings = corpus.read_json_object(config) if config else {}
+    flags = {key: getattr(args, key) for key in trainer.FLAT_FIELDS
+             if getattr(args, key, None) is not None}
+    clash = sorted(flags.keys() & overrides.keys())
+    if clash:
+        raise ConfigError(f"--{clash[0].replace('_', '-')} does not apply to "
+                          f"bench {args.bench_kind}, which sets {clash[0]} itself")
+    return {**settings, **flags, **overrides}
 
 
 def _read_manifest(path: str) -> tuple[int, int]:
@@ -151,8 +177,11 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         raise ConfigError(f"{args.data}: no interactions_test.tsv to evaluate on")
     meta, saved = trainer.read_state_json(args.model)
     trainer.check_same_data(meta, trainer.train_sha256(train), args.model)
-    factors = load_factors(os.path.join(args.model, "factors.bin"),
-                           train.n, train.m, saved.model.d)
+    path = os.path.join(args.model, "factors.bin")
+    factors = load_factors(path, train.n, train.m, saved.model.d)
+    if not (np.isfinite(factors.P).all() and np.isfinite(factors.Q).all()):
+        raise ConfigError(f"{path}: holds non-finite values (the run that "
+                          "wrote it diverged); retrain")
     report = metrics.evaluate(factors, train, test, ks=parse_ks(args.ks))
     if args.json:
         _write_text(args.out, json.dumps(report.as_dict(), sort_keys=True) + "\n")
@@ -164,24 +193,17 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _bench_instance(args: argparse.Namespace):
+    """The bench's train, test and social data, once its count flags are
+    known to be usable."""
+    for flag, low in (("draws", 1), ("repeats", 2), ("coords", 1)):
+        if getattr(args, flag, low) < low:
+            raise ConfigError(f"--{flag} must be at least {low}, "
+                              f"got {getattr(args, flag)}")
     if args.data:
         train, test, social = _load_data_dir(args.data)
         return train, test, social
     inst = synth.planted_instance(**synth.parse_synth_spec(args.synth))
     return inst.train, inst.test, None
-
-
-def _bench_config(args: argparse.Namespace, **overrides) -> TrainConfig:
-    """TrainConfig.from_flat on the bench flags that are set, plus overrides;
-    a flag that an override would replace is refused."""
-    settings = {key: getattr(args, key) for key in trainer.FLAT_FIELDS
-                if getattr(args, key, None) is not None}
-    clash = sorted(settings.keys() & overrides.keys())
-    if clash:
-        raise ConfigError(f"--{clash[0].replace('_', '-')} does not apply to "
-                          f"bench {args.bench_kind}, which sets {clash[0]} itself")
-    settings.update(overrides)
-    return TrainConfig.from_flat(settings, origin="bench flags")
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -205,13 +227,10 @@ def cmd_bench_sampler(args: argparse.Namespace) -> int:
         raise GuardError("sampler bench needs a small instance "
                          f"(got {train.n}x{train.m})")
     n, m = train.n, train.m
-    config = _bench_config(args, alpha=max(1, args.draws // n))
-    if config.mode == "samwalker":
-        if social is None:
-            raise ConfigError("samwalker bench needs social edges")
-        graph = build_social_graph(social, seed=config.seed)
-    else:
-        graph = build_pseudo_graph(train, K=config.K, seed=config.seed)
+    config = TrainConfig.from_flat(
+        _merge_train_settings(args, alpha=max(1, args.draws // n)),
+        origin="bench flags")
+    graph = trainer.init_state(train, config, social).graph
     cfg = config.sampler
     W = dense_transition(graph)
     gamma = dense_gamma_truncated(W, train.to_dense(), cfg.c, cfg.t_m)
@@ -254,7 +273,8 @@ def _freq_stats(counts: np.ndarray, expected: np.ndarray, fixed_total: bool):
 
 def cmd_bench_variance(args: argparse.Namespace) -> int:
     train, _, social = _bench_instance(args)
-    config = _bench_config(args)
+    config = TrainConfig.from_flat(_merge_train_settings(args),
+                                   origin="bench flags")
     state = trainer.fit(train, config, social=social)
     result = metrics.variance_bench(state.factors, state.graph, train,
                                     config.sampler,
@@ -266,61 +286,39 @@ def cmd_bench_variance(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench_tm_sweep(args: argparse.Namespace) -> int:
+def cmd_bench_sweep(args: argparse.Namespace) -> int:
+    """bench tm-sweep and bench ablation: one fit and one evaluation per
+    (label, overrides) variant, one CSV row per metric."""
     train, test, social = _bench_instance(args)
     if test is None:
-        raise ConfigError("tm-sweep needs a test split")
+        raise ConfigError(f"bench {args.bench_kind} needs a test split")
+    if args.bench_kind == "tm-sweep":
+        column = "t_m"
+        variants = [(t_m, {"t_m": t_m}) for t_m in parse_ks(args.tm_values)]
+    else:
+        column = "variant"
+        variants = [("full" if v == "none" else v,
+                     {"mode": "samwalker_pp", "ablation": v})
+                    for v in trainer.ABLATIONS]
     rows = []
-    for t_m in parse_ks(args.tm_values):
-        config = _bench_config(args, t_m=t_m)
+    for label, overrides in variants:
+        config = TrainConfig.from_flat(_merge_train_settings(args, **overrides),
+                                       origin="bench flags")
         state = trainer.fit(train, config, social=social)
         report = metrics.evaluate(state.factors, train, test)
-        for name, value in report.as_dict().items():
-            rows.append((t_m, name, f"{value:.6f}"))
-    _write_rows(args.out, "t_m,metric,value", rows)
+        rows += [(label, name, f"{value:.6f}")
+                 for name, value in report.as_dict().items()]
+    _write_rows(args.out, f"{column},metric,value", rows)
     return 0
-
-
-def cmd_bench_ablation(args: argparse.Namespace) -> int:
-    train, test, social = _bench_instance(args)
-    if test is None:
-        raise ConfigError("ablation bench needs a test split")
-    rows = []
-    for variant in ("none", "no_item", "no_community"):
-        config = _bench_config(args, mode="samwalker_pp", ablation=variant)
-        state = trainer.fit(train, config)
-        report = metrics.evaluate(state.factors, train, test)
-        label = "full" if variant == "none" else variant
-        for name, value in report.as_dict().items():
-            rows.append((label, name, f"{value:.6f}"))
-    _write_rows(args.out, "variant,metric,value", rows)
-    return 0
-
-
-def _add_sampler_flags(p: argparse.ArgumentParser) -> None:
-    sc = SamplerConfig
-    p.add_argument("--alpha", type=int,
-                   help=f"walks per user per batch (default {sc.alpha})")
-    p.add_argument("--beta", type=float,
-                   help=f"item thinning divisor (default {sc.beta:g})")
-    p.add_argument("--c", type=float,
-                   help=f"walk continuation probability (default {sc.c})")
-    p.add_argument("--t-m", type=int, dest="t_m",
-                   help=f"propagation depth / walk cap (default {sc.t_m})")
 
 
 def _add_bench_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--data", help="prepared data directory")
     p.add_argument("--synth", default="n=120,m=200,d=8,groups=4,seed=7",
                    help="synthetic instance spec, key=value pairs")
-    p.add_argument("--mode", choices=("samwalker", "samwalker_pp"),
-                   help="graph mode (default samwalker_pp)")
-    p.add_argument("--d", type=int, default=16, help="factor dimension")
-    p.add_argument("--k", type=int, default=8, help="community count")
-    p.add_argument("--epochs", type=int, default=30, help="training epochs")
-    p.add_argument("--seed", type=int, default=0, help="rng seed")
     p.add_argument("--out", help="output CSV path (default stdout)")
-    _add_sampler_flags(p)
+    _add_setting_flags(p, BENCH_SETTINGS, BENCH_DEFAULTS,
+                       ("samwalker", "samwalker_pp"))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -354,34 +352,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="JSON config file (flags override it)")
     p.add_argument("--resume", action="store_true",
                    help="continue from the checkpoint in --out")
-    p.add_argument("--mode", choices=trainer.MODES,
-                   help="training mode (default samwalker_pp)")
-    p.add_argument("--d", type=int, help="factor dimension (default 32)")
-    p.add_argument("--k", type=int, help="community count (default 32)")
-    p.add_argument("--epochs", type=int, help="epochs to run (default 50)")
-    _add_sampler_flags(p)
-    p.add_argument("--eta", type=float, help="prior exposure probability (default 0.5)")
-    p.add_argument("--epsilon", type=float,
-                   help="accidental click probability (default 0.001)")
-    p.add_argument("--lr-theta", type=float, dest="lr_theta",
-                   help="factor learning rate (default 0.05)")
-    p.add_argument("--lr-phi", type=float, dest="lr_phi",
-                   help="graph learning rate (default 0.01)")
-    p.add_argument("--l2-theta", type=float, dest="l2_theta",
-                   help="per-entry factor l2 (default 1e-4)")
-    p.add_argument("--n-si", type=int, dest="n_si",
-                   help="item columns per graph step (default 100)")
-    p.add_argument("--theta-steps", type=int, dest="theta_steps",
-                   help="factor batches per epoch (default 1)")
-    p.add_argument("--eval-every", type=int, dest="eval_every",
-                   help="evaluate every E epochs (default off)")
-    p.add_argument("--ks", help="evaluation cutoffs, comma separated (default 5,10)")
-    p.add_argument("--seed", type=int, help="master rng seed (default 0)")
     p.add_argument("--deterministic", action="store_true",
                    help="accepted for compatibility; training is always "
                         "deterministic (same seed, byte-identical checkpoints)")
-    p.add_argument("--ablation", choices=trainer.ABLATIONS,
-                   help="freeze the bridge mix (samwalker_pp only)")
+    _add_setting_flags(p, trainer.FLAT_FIELDS, {}, trainer.MODES)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="rank held-out items with a checkpoint")
@@ -413,11 +387,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_bench_common(b)
     b.add_argument("--tm-values", dest="tm_values", default="1,2,3,5",
                    help="comma-separated depths (default 1,2,3,5)")
-    b.set_defaults(func=cmd_bench_tm_sweep)
+    b.set_defaults(func=cmd_bench_sweep)
 
     b = bsub.add_parser("ablation", help="full vs single-bridge variants")
     _add_bench_common(b)
-    b.set_defaults(func=cmd_bench_ablation)
+    b.set_defaults(func=cmd_bench_sweep)
 
     return parser
 

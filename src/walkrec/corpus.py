@@ -528,8 +528,9 @@ def read_json_object(path: str) -> dict:
 
 
 def write_json_object(path: str, obj: dict) -> None:
-    """Write obj as manifest.json and state.json are written: sorted keys,
-    one-space indent, a final newline."""
+    """Write obj as manifest.json and state.json are written: strict JSON
+    (a NaN or infinity is a ValueError), sorted keys, one-space indent, a
+    final newline. A refused object leaves the file untouched."""
+    text = json.dumps(obj, sort_keys=True, indent=1, allow_nan=False) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+        fh.write(text)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -272,26 +273,20 @@ def variance_bench(factors: PreferenceFactors, graph, train: InteractionMatrix,
     coords = rng.choice(total, size=min(n_coords, total), replace=False)
     results: dict[str, dict] = {}
     for kind in kinds:
-        if kind == "walk":
-            engine = WalkEngine(graph, train, sampler_cfg)
-            est = np.empty((repeats, coords.shape[0]))
-            for r in range(repeats):
-                batch = engine.sample_batch(rng)
-                dP, dQ = accumulate_pair_gradients(
-                    factors, batch.users, batch.items,
-                    batch.labels.astype(np.float64))
-                est[r] = batch.expected_scale * _coord_view(dP, dQ, coords)
+        if kind == "walk":  # its law is gamma's: no importance weights
+            draw, weighted = WalkEngine(graph, train, sampler_cfg).sample_batch, False
         else:
             sampler = BaselineSampler(kind, train)
             _check_support(sampler, gamma, train)
-            est = np.empty((repeats, coords.shape[0]))
-            for r in range(repeats):
-                batch = sampler.sample(batch_size, rng)
-                w = gamma[batch.users, batch.items] / batch.probs
-                dP, dQ = accumulate_pair_gradients(
-                    factors, batch.users, batch.items,
-                    batch.labels.astype(np.float64), weights=w)
-                est[r] = batch.expected_scale * _coord_view(dP, dQ, coords)
+            draw, weighted = partial(sampler.sample, batch_size), True
+        est = np.empty((repeats, coords.shape[0]))
+        for r in range(repeats):
+            batch = draw(rng)
+            w = gamma[batch.users, batch.items] / batch.probs if weighted else None
+            dP, dQ = accumulate_pair_gradients(
+                factors, batch.users, batch.items,
+                batch.labels.astype(np.float64), weights=w)
+            est[r] = batch.expected_scale * _coord_view(dP, dQ, coords)
         results[kind] = {
             "variance": float(np.mean(np.var(est, axis=0, ddof=1))),
             "mean_abs_bias": float(np.mean(np.abs(

@@ -8,6 +8,7 @@ ranking quality measure how well a learner recovers the planted structure.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,9 +39,16 @@ def planted_instance(n: int = 300, m: int = 500, d: int = 8, groups: int = 4,
     and Bernoulli(accidental) otherwise. Each generated positive goes to the
     test split with probability test_fraction (users keep at least one train
     positive; users with no positives at all are dropped and ids repacked).
+    A size below 1 or a probability outside [0, 1] is a ConfigError naming
+    the parameter.
     """
-    if groups < 1:
-        raise ValueError("groups must be at least 1")
+    for name, size in (("n", n), ("m", m), ("d", d), ("groups", groups)):
+        if size < 1:
+            raise ConfigError(f"synth {name} must be at least 1, got {size}")
+    for name, p in (("exposure_in", exposure_in), ("exposure_out", exposure_out),
+                    ("accidental", accidental), ("test_fraction", test_fraction)):
+        if not 0.0 <= p <= 1.0:
+            raise ConfigError(f"synth {name} must lie in [0, 1], got {p}")
     rng = np.random.default_rng(seed)
     group_of_user = rng.integers(0, groups, size=n)
     pool_of_item = rng.integers(0, groups, size=m)
@@ -77,11 +85,10 @@ def planted_instance(n: int = 300, m: int = 500, d: int = 8, groups: int = 4,
 
 
 def parse_synth_spec(spec: str) -> dict:
-    """Parse "n=300,m=500,d=8,groups=4,seed=1" style benchmark specs."""
+    """Parse "n=300,m=500,d=8,groups=4,seed=1" style benchmark specs; the
+    keys are planted_instance's parameters, each of its default's type."""
     out: dict[str, float | int] = {}
-    int_keys = {"n", "m", "d", "groups", "seed"}
-    float_keys = {"exposure_in", "exposure_out", "accidental",
-                  "test_fraction", "factor_scale"}
+    params = inspect.signature(planted_instance).parameters
     for part in spec.split(","):
         part = part.strip()
         if not part:
@@ -90,10 +97,10 @@ def parse_synth_spec(spec: str) -> dict:
             raise ConfigError(f"bad synth spec fragment {part!r}")
         key, value = part.split("=", 1)
         key = key.strip()
-        if key not in int_keys | float_keys:
+        if key not in params:
             raise ConfigError(f"unknown synth spec key {key!r}")
         try:
-            out[key] = int(value) if key in int_keys else float(value)
+            out[key] = type(params[key].default)(value)
         except ValueError:
             raise ConfigError(f"bad synth spec value {part!r}") from None
     return out

@@ -29,7 +29,7 @@ import numpy as np
 
 from .corpus import (InteractionMatrix, SocialEdges, read_json_object,
                      write_json_object)
-from .errors import ConfigError, GuardError
+from .errors import ConfigError, EstimatorError, GuardError
 from .exposure import forward_tape, g_term, phi_objective_and_backward
 from .factors import (ModelConfig, PreferenceFactors,
                       accumulate_pair_gradients, bern_ll, clamped_sigmoid,
@@ -61,28 +61,29 @@ def parse_ks(text: str) -> tuple[int, ...]:
     return ks
 
 
-# The flat settings schema: train flag dest / --config key / state.json key
-# -> (section of TrainConfig, or None for TrainConfig itself; field; parser).
+# The flat settings schema: CLI flag dest / --config key / state.json key
+# -> (section of TrainConfig, or None for TrainConfig itself; field; parser;
+# the flag's help text).
 FLAT_FIELDS = {
-    "mode": (None, "mode", str),
-    "d": ("model", "d", int),
-    "k": (None, "K", int),
-    "epochs": (None, "epochs", int),
-    "alpha": ("sampler", "alpha", int),
-    "beta": ("sampler", "beta", float),
-    "c": ("sampler", "c", float),
-    "t_m": ("sampler", "t_m", int),
-    "eta": ("model", "eta", float),
-    "epsilon": ("model", "epsilon", float),
-    "lr_theta": ("model", "lr_theta", float),
-    "lr_phi": ("model", "lr_phi", float),
-    "l2_theta": ("model", "l2_theta", float),
-    "n_si": (None, "n_si", int),
-    "theta_steps": (None, "theta_steps", int),
-    "eval_every": (None, "eval_every", int),
-    "ks": (None, "eval_ks", parse_ks),
-    "seed": (None, "seed", int),
-    "ablation": (None, "ablation", str),
+    "mode": (None, "mode", str, "training mode"),
+    "d": ("model", "d", int, "factor dimension"),
+    "k": (None, "K", int, "community count, samwalker_pp only"),
+    "epochs": (None, "epochs", int, "epochs to run"),
+    "alpha": ("sampler", "alpha", int, "walks per user per batch"),
+    "beta": ("sampler", "beta", float, "item thinning divisor"),
+    "c": ("sampler", "c", float, "walk continuation probability"),
+    "t_m": ("sampler", "t_m", int, "propagation depth / walk cap"),
+    "eta": ("model", "eta", float, "prior exposure probability"),
+    "epsilon": ("model", "epsilon", float, "accidental click probability"),
+    "lr_theta": ("model", "lr_theta", float, "factor learning rate"),
+    "lr_phi": ("model", "lr_phi", float, "graph learning rate"),
+    "l2_theta": ("model", "l2_theta", float, "per-entry factor l2"),
+    "n_si": (None, "n_si", int, "item columns per graph step"),
+    "theta_steps": (None, "theta_steps", int, "factor batches per epoch"),
+    "eval_every": (None, "eval_every", int, "evaluate every E epochs, 0 for never"),
+    "ks": (None, "eval_ks", parse_ks, "evaluation cutoffs, comma separated"),
+    "seed": (None, "seed", int, "master rng seed"),
+    "ablation": (None, "ablation", str, "freeze the bridge mix, samwalker_pp only"),
 }
 # Settings a resumed run may change: they do not alter the trajectory.
 RESUME_FREE = ("epochs", "eval_every", "ks")
@@ -123,7 +124,7 @@ class TrainConfig:
     def to_flat(self) -> dict:
         """The settings as one JSON-ready object keyed as FLAT_FIELDS."""
         flat = {key: getattr(getattr(self, section) if section else self, name)
-                for key, (section, name, _) in FLAT_FIELDS.items()}
+                for key, (section, name, *_) in FLAT_FIELDS.items()}
         flat["ks"] = ",".join(str(k) for k in self.eval_ks)
         return flat
 
@@ -137,7 +138,7 @@ class TrainConfig:
             raise ConfigError(f"{origin}: unknown config keys {unknown}")
         parts = {None: {}, "model": {}, "sampler": {}}
         for key, value in settings.items():
-            section, name, parse = FLAT_FIELDS[key]
+            section, name, parse, _ = FLAT_FIELDS[key]
             if value is None or isinstance(value, (bool, list, dict)):
                 raise ConfigError(f"{origin}: {key} must be a number or a "
                                   f"string, got {json.dumps(value)}")
@@ -181,7 +182,7 @@ def _check_same_run(have: TrainConfig, want: TrainConfig, where: str,
     message names have as the `what` found at `where`.
     """
     saved, wanted = have.to_flat(), want.to_flat()
-    for key, (_, name, _) in FLAT_FIELDS.items():
+    for key, (_, name, *_) in FLAT_FIELDS.items():
         if key in RESUME_FREE or (key == "k" and want.mode != "samwalker_pp"):
             continue
         if saved[key] != wanted[key]:
@@ -339,6 +340,24 @@ def _dense_epoch(state: TrainState, Xd: np.ndarray) -> dict:
     return {"epoch": state.epoch, "objective": value}
 
 
+def _check_finite(state: TrainState, record: dict) -> None:
+    """Refuse a diverged run: every float in the epoch's record, P, Q and
+    the graph logits must be finite. The first that is not raises
+    EstimatorError naming the epoch and the quantity."""
+    quantities = [(key, value) for key, value in record.items()
+                  if isinstance(value, float)]
+    quantities += [("P", state.factors.P), ("Q", state.factors.Q)]
+    if state.graph is not None:
+        quantities += [(f"graph {name}", value)
+                       for name, value in vars(state.graph).items()
+                       if name.endswith("logits")]
+    for name, value in quantities:
+        if not np.isfinite(value).all():
+            raise EstimatorError(
+                f"training diverged in epoch {state.epoch}: {name} is not "
+                "finite (lower lr_theta or lr_phi)")
+
+
 def fit(train: InteractionMatrix, config: TrainConfig,
         social: SocialEdges | None = None, test: InteractionMatrix | None = None,
         state: TrainState | None = None, log_path: str | None = None) -> TrainState:
@@ -346,7 +365,8 @@ def fit(train: InteractionMatrix, config: TrainConfig,
 
     A state given must have been trained with config's settings, except
     RESUME_FREE, as load_state requires of a checkpoint; a mismatch is a
-    ConfigError naming the field. state.config then becomes config.
+    ConfigError naming the field. state.config then becomes config. An
+    epoch that leaves a non-finite value raises EstimatorError.
     """
     if state is None:
         state = init_state(train, config, social)
@@ -363,6 +383,7 @@ def fit(train: InteractionMatrix, config: TrainConfig,
             else:
                 record = _walk_epoch(state, train, rng)
             state.epoch += 1
+            _check_finite(state, record)
             if (test is not None and config.eval_every
                     and state.epoch % config.eval_every == 0):
                 report = evaluate(state.factors, train, test, ks=config.eval_ks)

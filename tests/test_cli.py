@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from walkrec import cli, corpus, metrics, trainer
+from walkrec.factors import load_factors, save_factors
 
 
 def write_raw_dataset(tmp_path, n_users=30, n_items=40, events=500, seed=0,
@@ -334,11 +335,17 @@ class TestExitCodes:
         ("sampler", "--k", "K must be at least 1"),
         ("tm-sweep", "--k", "K must be at least 1"),
         ("ablation", "--k", "K must be at least 1"),
+        ("sampler", "--draws", "--draws must be at least 1"),
+        ("variance", "--repeats", "--repeats must be at least 2"),
+        ("variance", "--repeats=1", "--repeats must be at least 2"),
+        ("variance", "--coords", "--coords must be at least 1"),
+        ("variance", "--coords=-3", "--coords must be at least 1"),
     ])
     def test_bench_zero_width_is_2(self, capsys, command, flag, message):
+        # a flag given as --name=value carries its own value, not 0
         code = cli.main(["bench", command,
                          "--synth", "n=20,m=30,d=4,groups=2,seed=1",
-                         "--epochs", "1", flag, "0"])
+                         "--epochs", "1", flag] + ([] if "=" in flag else ["0"]))
         assert code == 2
         err = capsys.readouterr().err
         assert message in err and "internal error" not in err
@@ -403,9 +410,51 @@ class TestExitCodes:
                          "--draws", "100"])
         assert code == 3
 
-    def test_bad_synth_spec_is_2(self):
-        code = cli.main(["bench", "sampler", "--synth", "n=??"])
-        assert code == 2
+    def test_bad_synth_spec_is_2(self, capsys):
+        for spec, name in [("n=??", "n=??"), ("volume=3", "volume"),
+                           ("groups=0", "groups"), ("n=0", "n must"),
+                           ("d=0", "d must"), ("m=-2", "m must"),
+                           ("test_fraction=2", "test_fraction"),
+                           ("exposure_in=3", "exposure_in"),
+                           ("accidental=nan", "accidental")]:
+            code = cli.main(["bench", "sampler", "--synth", spec])
+            err = capsys.readouterr().err
+            assert code == 2, spec
+            assert name in err and "internal error" not in err, spec
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_diverged_run_is_3_and_saves_nothing(self, tmp_path, capsys):
+        data = run_prepare(tmp_path)
+        model = tmp_path / "model"
+        assert cli.main(["train", "--data", data, "--out", str(model)]
+                        + FAST_TRAIN) == 0
+        before = {p.name: p.read_bytes() for p in model.iterdir()}
+        capsys.readouterr()
+        code = cli.main(["train", "--data", data, "--out", str(model),
+                         "--lr-theta", "1e3", "--lr-phi", "1e3",
+                         "--epochs", "40", "--d", "8", "--k", "4"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "diverged in epoch" in err and "not finite" in err
+        assert {p.name: p.read_bytes() for p in model.iterdir()} == before
+
+    def test_evaluate_non_finite_factors_is_2(self, tmp_path, capsys):
+        data = run_prepare(tmp_path)
+        model = str(tmp_path / "model")
+        assert cli.main(["train", "--data", data, "--out", model]
+                        + FAST_TRAIN) == 0
+        with open(os.path.join(data, "manifest.json")) as fh:
+            manifest = json.load(fh)
+        path = os.path.join(model, "factors.bin")
+        factors = load_factors(
+            path, manifest["n"], manifest["m"],
+            trainer.read_state_json(model)[1].model.d)
+        factors.Q[-1, -1] = np.inf
+        save_factors(path, factors)
+        capsys.readouterr()
+        assert cli.main(["evaluate", "--data", data, "--model", model]) == 2
+        err = capsys.readouterr().err
+        assert path in err and "non-finite" in err
 
 
 class TestPrepare:
@@ -741,6 +790,19 @@ class TestBench:
         depths = {line.split(",")[0] for line in lines[1:]}
         assert depths == {"1", "2"}
 
+    def test_sampler_walks_the_graph_train_starts_from(self, monkeypatch, capsys):
+        seen = []
+        init_state = trainer.init_state
+
+        def spy(train, config, social=None):
+            seen.append(config)
+            return init_state(train, config, social)
+
+        monkeypatch.setattr(trainer, "init_state", spy)
+        assert cli.main(["bench", "sampler", "--synth", "n=20,m=30,d=4,groups=2,seed=1",
+                         "--draws", "2000", "--k", "4", "--seed", "5"]) == 0
+        assert [(c.K, c.seed, c.mode) for c in seen] == [(4, 5, "samwalker_pp")]
+
     def test_ablation(self, tmp_path):
         out = str(tmp_path / "ab.csv")
         code = cli.main(["bench", "ablation",
@@ -791,6 +853,17 @@ class TestFlatSchema:
         flat = json.loads(json.dumps(config.to_flat()))
         assert set(flat) == set(trainer.FLAT_FIELDS)
         assert trainer.TrainConfig.from_flat(flat) == config
+
+    @pytest.mark.parametrize("kind", ["sampler", "variance", "tm-sweep", "ablation"])
+    def test_bench_flags_are_schema_keys_and_its_own(self, kind):
+        args = cli.build_parser().parse_args(["bench", kind])
+        own = {"command", "func", "bench_kind", "data", "synth", "out",
+               "draws", "repeats", "coords", "tm_values"}
+        settings = set(vars(args)) - own
+        assert settings == set(cli.BENCH_SETTINGS)
+        assert settings <= set(trainer.FLAT_FIELDS)
+        assert {key: getattr(args, key) for key in settings
+                if getattr(args, key) is not None} == cli.BENCH_DEFAULTS
 
     def test_missing_keys_take_dataclass_defaults(self):
         assert trainer.TrainConfig.from_flat({}) == trainer.TrainConfig()

@@ -335,6 +335,16 @@ class TestPairsIO:
         assert p.read_bytes() == (b"0\t0\t1\n0\t2\t1\n1\t1\t1\n2\t0\t1\n"
                                   b"2\t3\t1\n2\t4\t1\n3\t2\t1\n")
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_json_object_is_strict_and_refusal_writes_nothing(self, tmp_path, value):
+        path = str(tmp_path / "state.json")
+        corpus.write_json_object(path, {"b": [1.5], "a": 1})
+        before = open(path, "rb").read()
+        assert before == b'{\n "a": 1,\n "b": [\n  1.5\n ]\n}\n'
+        with pytest.raises(ValueError):
+            corpus.write_json_object(path, {"a": 1, "b": [value]})
+        assert open(path, "rb").read() == before
+
     @pytest.mark.parametrize("text,line_no", [
         ("0\t1\t1\n99999999999999999999\t2\t1\n", 2),
         ("# ids\n0\t1\n1\t-9223372036854775809\n", 3),

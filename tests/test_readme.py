@@ -1,5 +1,5 @@
 """The README's library and command-line examples run as printed, with
-fewer epochs."""
+fewer epochs, draws and repeats."""
 
 import os
 import re
@@ -35,11 +35,19 @@ def test_command_line_example_runs(tmp_path, monkeypatch, capsys):
     with open(README, encoding="utf-8") as fh:
         blocks = re.findall(r"```sh\n(.*?)```", fh.read().replace("\\\n", " "),
                             flags=re.S)
-    argvs = {argv[1]: argv[1:] for argv in map(shlex.split, "\n".join(blocks).splitlines())
+    # keyed by command, or by "bench <kind>" for the bench lines
+    argvs = {" ".join(argv[1:2 + (argv[1] == "bench")]): argv[1:]
+             for argv in map(shlex.split, "\n".join(blocks).splitlines())
              if argv[:1] == ["walkrec"]}
-    epochs = argvs["train"].index("--epochs") + 1
-    assert argvs["train"][epochs] == "50"
-    argvs["train"][epochs] = "2"
+    for command, flag, shown, fewer in [("train", "--epochs", "50", "2"),
+                                        ("bench sampler", "--draws", "20000", "2000"),
+                                        ("bench variance", "--epochs", "100", "2")]:
+        at = argvs[command].index(flag) + 1
+        assert argvs[command][at] == shown
+        argvs[command][at] = fewer
+    argvs["bench variance"] += ["--repeats", "20"]
+    for command in ("bench tm-sweep", "bench ablation"):
+        argvs[command] += ["--epochs", "2"]
     rng = np.random.default_rng(0)
     (tmp_path / "raw.tsv").write_text("".join(
         f"u{u}\ti{i}\n" for u, i in rng.integers(0, [40, 60], size=(600, 2))))
@@ -51,3 +59,9 @@ def test_command_line_example_runs(tmp_path, monkeypatch, capsys):
     report = capsys.readouterr().out.splitlines()
     assert report[-8] == "metric,K,value"
     assert report[-7].startswith("recall,5,")
+    for command, header in [("bench sampler", "sampler,cells,statistic,dof,p_value,tv"),
+                            ("bench variance", "sampler,variance,mean_abs_bias"),
+                            ("bench tm-sweep", "t_m,metric,value"),
+                            ("bench ablation", "variant,metric,value")]:
+        assert cli.main(argvs[command]) == 0, command
+        assert capsys.readouterr().out.splitlines()[0] == header

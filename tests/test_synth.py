@@ -69,3 +69,13 @@ class TestParseSpec:
             synth.parse_synth_spec("n=twenty")
         with pytest.raises(ConfigError):
             synth.parse_synth_spec("n")
+
+    def test_keys_and_types_are_planted_instance_parameters(self):
+        spec = synth.parse_synth_spec(
+            "n=20,m=30,d=3,groups=2,seed=4,exposure_in=1,exposure_out=0,"
+            "accidental=0.5,test_fraction=0,factor_scale=2")
+        floats = {"exposure_in", "exposure_out", "accidental", "test_fraction",
+                  "factor_scale"}
+        assert {key: type(value) for key, value in spec.items()} == {
+            key: float if key in floats else int for key in spec}
+        assert synth.planted_instance(**spec).train.n <= 20
