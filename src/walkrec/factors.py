@@ -14,7 +14,8 @@ from .errors import ConfigError, ParseError
 
 TAU = 1e-7
 # Cells per block wherever a long per-pair array is built a block at a time
-# (the gathered operands of pair_dots, the walker's thinning uniforms):
+# (the gathered operands of pair_dots, predict_pairs' logistic, the walker's
+# thinning uniforms):
 # 64k float64 cells (512 KB) stay in cache and below the allocator's mmap
 # threshold, so blocks are reused instead of mapped and faulted in afresh.
 PAIR_DOT_CELLS = 1 << 16
@@ -127,8 +128,15 @@ def pair_dots(A: np.ndarray, rows, B: np.ndarray, cols) -> np.ndarray:
 
 
 def predict_pairs(factors: PreferenceFactors, users, items) -> np.ndarray:
-    """Vectorized predict over parallel user/item id arrays."""
-    return clamped_sigmoid(pair_dots(factors.P, users, factors.Q, items))
+    """Vectorized predict over parallel user/item id arrays.
+
+    The logistic is taken in place a PAIR_DOT_CELLS block at a time, so its
+    temporaries stay block-sized whatever the number of pairs.
+    """
+    out = pair_dots(factors.P, users, factors.Q, items)
+    for lo in range(0, out.shape[0], PAIR_DOT_CELLS):
+        out[lo:lo + PAIR_DOT_CELLS] = clamped_sigmoid(out[lo:lo + PAIR_DOT_CELLS])
+    return out
 
 
 def bern_ll(x, b):
@@ -158,15 +166,33 @@ def accumulate_pair_gradients(factors: PreferenceFactors, users, items,
 
     Returns dense (dP, dQ); repeated pairs add up. weights, if given, scale
     each pair's contribution; sig, if given, is predict_pairs at the same
-    pairs and is used instead of recomputing it.
+    pairs and is used instead of recomputing it. users, items and labels
+    are left unchanged.
+
+    The residuals form an n x m CSR matrix S built directly: pairs are
+    grouped by user with a stable sort, skipped when users are already
+    non-decreasing (as walk batches are), and S.sum_duplicates() then
+    sorts each row and adds up repeated pairs in the same order as a
+    COO->CSR conversion of the same pairs, so S @ Q and S.T @ P are
+    bit-equal to that conversion's.
     """
+    users, items = np.asarray(users), np.asarray(items)
     if sig is None:
         sig = predict_pairs(factors, users, items)
-    r = np.asarray(labels, dtype=np.float64) - sig
+    r = np.subtract(labels, sig, dtype=np.float64)
     if weights is not None:
-        r = r * weights
-    # the residuals as an n x m sparse matrix; CSR conversion sums repeats
-    S = sparse.csr_array((r, (users, items)), shape=(factors.n, factors.m))
+        r *= weights
+    if (users[1:] < users[:-1]).any():
+        order = np.argsort(users, kind="stable")
+        users, items, r = users[order], items[order], r[order]
+    index = np.int32 if max(factors.n, factors.m, r.shape[0]) < 2**31 else np.int64
+    indptr = np.zeros(factors.n + 1, dtype=index)
+    np.cumsum(np.bincount(users, minlength=factors.n), out=indptr[1:],
+              dtype=index)
+    # items is copied: sum_duplicates sorts the indices in place
+    S = sparse.csr_array((r, items.astype(index), indptr),
+                         shape=(factors.n, factors.m))
+    S.sum_duplicates()
     return S @ factors.Q, S.T @ factors.P
 
 

@@ -284,8 +284,7 @@ def variance_bench(factors: PreferenceFactors, graph, train: InteractionMatrix,
             batch = draw(rng)
             w = gamma[batch.users, batch.items] / batch.probs if weighted else None
             dP, dQ = accumulate_pair_gradients(
-                factors, batch.users, batch.items,
-                batch.labels.astype(np.float64), weights=w)
+                factors, batch.users, batch.items, batch.labels, weights=w)
             est[r] = batch.expected_scale * _coord_view(dP, dQ, coords)
         results[kind] = {
             "variance": float(np.mean(np.var(est, axis=0, ddof=1))),

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import InteractionMatrix, matrix_from_pairs
-from .errors import ConfigError
+from .errors import ConfigError, EmptyDatasetError
 from .factors import PreferenceFactors, clamped_sigmoid
 
 
@@ -70,6 +70,12 @@ def planted_instance(n: int = 300, m: int = 500, d: int = 8, groups: int = 4,
             first = np.flatnonzero(sel)[0]
             to_test[first] = False
     keep_users = np.unique(us[~to_test])
+    if keep_users.size == 0:
+        raise EmptyDatasetError(
+            f"synth n={n},m={m},d={d},groups={groups},exposure_in={exposure_in},"
+            f"exposure_out={exposure_out},accidental={accidental},"
+            f"test_fraction={test_fraction},factor_scale={factor_scale},"
+            f"seed={seed} draws no positive pair")
     remap = np.full(n, -1, dtype=np.int64)
     remap[keep_users] = np.arange(keep_users.shape[0])
     ok = remap[us] >= 0

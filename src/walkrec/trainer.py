@@ -207,15 +207,16 @@ def update_theta_from_batch(factors: PreferenceFactors, batch: SampleBatch,
 
     Labels are 0 or 1, so the log likelihood takes one log per pair: the
     term bern_ll multiplies by zero is exactly zero, and the sum over the
-    same per-pair terms in the same order is bit-equal to bern_ll's.
+    same per-pair terms in the same order is bit-equal to bern_ll's. The
+    terms overwrite the predictions once the gradient no longer needs
+    them; the batch itself is left unchanged.
     """
     if batch.size == 0:
         _logger.warning("empty sample batch; theta update skipped")
         return 0.0
-    labels = batch.labels.astype(np.float64)
     sig = predict_pairs(factors, batch.users, batch.items)
     dP, dQ = accumulate_pair_gradients(factors, batch.users, batch.items,
-                                       labels, sig=sig)
+                                       batch.labels, sig=sig)
     if l2 > 0.0:
         cu = np.bincount(batch.users, minlength=factors.n)[:, None]
         ci = np.bincount(batch.items, minlength=factors.m)[:, None]
@@ -223,9 +224,12 @@ def update_theta_from_batch(factors: PreferenceFactors, batch: SampleBatch,
         dQ -= l2 * ci * factors.Q
     factors.P += lr * dP
     factors.Q += lr * dQ
-    ll = np.log1p(-sig)
-    np.log(sig, out=ll, where=batch.labels.astype(bool))
-    return float(np.sum(ll))
+    ones = batch.labels.astype(bool)
+    zeros = ~ones
+    np.log(sig, out=sig, where=ones)
+    np.negative(sig, out=sig, where=zeros)
+    np.log1p(sig, out=sig, where=zeros)
+    return float(np.sum(sig))
 
 
 def update_phi_step(graph, factors: PreferenceFactors, X: InteractionMatrix,
@@ -366,7 +370,9 @@ def fit(train: InteractionMatrix, config: TrainConfig,
     A state given must have been trained with config's settings, except
     RESUME_FREE, as load_state requires of a checkpoint; a mismatch is a
     ConfigError naming the field. state.config then becomes config. An
-    epoch that leaves a non-finite value raises EstimatorError.
+    epoch that leaves a non-finite value raises EstimatorError, and the log
+    at log_path is first put back as the call found it: the same bytes, or
+    absent if it was absent.
     """
     if state is None:
         state = init_state(train, config, social)
@@ -374,7 +380,11 @@ def fit(train: InteractionMatrix, config: TrainConfig,
         _check_same_run(state.config, config, "fit", "state")
         state.config = config
     Xd = train.to_dense(DENSE_CELL_GUARD) if config.mode == "exmf_dense" else None
-    log_fh = open(log_path, "a", encoding="utf-8") if log_path else None
+    log_fh = None
+    if log_path:
+        log_existed = os.path.exists(log_path)
+        log_fh = open(log_path, "a", encoding="utf-8")
+        log_size = log_fh.tell()
     try:
         for _ in range(config.epochs):
             rng = _epoch_rng(config.seed, state.epoch)
@@ -394,6 +404,13 @@ def fit(train: InteractionMatrix, config: TrainConfig,
                             {"epoch": state.epoch, "metric": name,
                              "value": value}, sort_keys=True) + "\n")
             state.history.append(record)
+    except EstimatorError:
+        if log_fh:
+            log_fh.truncate(log_size)
+            log_fh.close()
+            if not log_existed:
+                os.remove(log_path)
+        raise
     finally:
         if log_fh:
             log_fh.close()

@@ -149,23 +149,29 @@ class WalkEngine:
         Walk w's candidates are its stop user's positives, laid end to end
         walk after walk; one uniform draw per candidate decides which are
         kept. The uniforms are drawn factors.PAIR_DOT_CELLS at a time, the
-        same stream as one draw of all of them, and each block's kept
-        positions are turned into pairs before the next block is drawn, so
-        memory follows the block and the kept pairs, not the candidate
-        count. A block labels each of its candidates with its walk, by
-        repeating the ids of the walks that overlap it, instead of
-        searching for the walk of each kept position.
+        same stream as one draw of all of them, and a block labels each of
+        its candidates with its walk by repeating the ids of the walks that
+        overlap it, instead of searching for the walk of each kept position.
+        Each block keeps only the walk and the row_items position of its
+        kept candidates, in 32-bit ids where they fit; once every block is
+        drawn the count is known, the per-walk arrays are freed, and the
+        users, items and labels are written block by block into arrays of
+        exactly that size. Memory follows the block and the kept pairs, not
+        the candidate count.
         """
         X = self.X
-        counts = X.row_counts[stops]
-        ends = np.cumsum(counts)
-        starts = ends - counts
-        total = int(ends[-1]) if ends.size else 0
+        # walk w's candidates are positions bounds[w] to bounds[w + 1]
+        # (filled in place: mode="clip" takes into out without a buffer)
+        bounds = np.zeros(stops.shape[0] + 1, dtype=np.int64)
+        np.take(X.row_counts, stops, out=bounds[1:], mode="clip")
+        np.cumsum(bounds, out=bounds)
+        starts, ends, total = bounds[:-1], bounds[1:], int(bounds[-1])
         # candidate position p of walk w sits at row_items[base[w] + p]
-        base = X.row_indptr[stops] - starts
-        labeler = _OriginLabeler(X)
+        base = X.row_indptr[stops]
+        base -= starts
+        ids = np.int32 if max(X.nnz, stops.shape[0]) < 2**31 else np.int64
         block = factors.PAIR_DOT_CELLS
-        parts = [(origins[:0], X.row_items[:0], np.zeros(0, dtype=np.uint8))]
+        kept = []
         for lo in range(0, total, block):
             hi = min(lo + block, total)
             keep = np.flatnonzero(rng.random(hi - lo) < 1.0 / self.cfg.beta)
@@ -173,11 +179,22 @@ class WalkEngine:
             w1 = int(np.searchsorted(starts, hi, side="left"))
             # each overlapping walk's candidates inside [lo, hi)
             clipped = np.minimum(ends[w0:w1], hi) - np.maximum(starts[w0:w1], lo)
-            walk = np.repeat(np.arange(w0, w1), clipped)[keep]
-            users = origins[walk]
-            items = X.row_items[base[walk] + (keep + lo)]
-            parts.append((users, items, labeler(users, items)))
-        return tuple(np.concatenate(a) for a in zip(*parts))
+            walk = np.repeat(np.arange(w0, w1, dtype=ids), clipped)[keep]
+            kept.append((walk, (base[walk] + (keep + lo)).astype(ids)))
+        del bounds, starts, ends, base
+        size = sum(walk.shape[0] for walk, _ in kept)
+        users = np.empty(size, dtype=origins.dtype)
+        items = np.empty(size, dtype=X.row_items.dtype)
+        labels = np.empty(size, dtype=np.uint8)
+        labeler = _OriginLabeler(X)
+        a = 0
+        for walk, at in kept:
+            b = a + walk.shape[0]
+            users[a:b] = origins[walk]
+            items[a:b] = X.row_items[at]
+            labels[a:b] = labeler(users[a:b], items[a:b])
+            a = b
+        return users, items, labels
 
     def sample_batch(self, rng: np.random.Generator | None = None) -> SampleBatch:
         """alpha walks per user, all emissions concatenated."""

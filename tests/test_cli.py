@@ -42,6 +42,18 @@ def run_prepare(tmp_path, out_name="data", with_social=True, seed=0):
     return out
 
 
+def run_capped(argv):
+    """Run the CLI with argv in a child process whose address space is
+    capped at 512 MB, so a refusal that came too late would fail fast."""
+    cap = 512 << 20
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+        [os.path.dirname(os.path.dirname(cli.__file__)), os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run(
+        [sys.executable, "-m", "walkrec.cli"] + argv, env=env, capture_output=True,
+        text=True, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+
+
 def golden_raw(delim):
     """A raw log of 102 events over 14 users and 12 items: every third line
     has a weight, every fifth ends in CRLF, comments and blanks between."""
@@ -341,14 +353,13 @@ class TestExitCodes:
         ("variance", "--coords", "--coords must be at least 1"),
         ("variance", "--coords=-3", "--coords must be at least 1"),
     ])
-    def test_bench_zero_width_is_2(self, capsys, command, flag, message):
+    def test_bench_zero_width_is_2(self, command, flag, message):
         # a flag given as --name=value carries its own value, not 0
-        code = cli.main(["bench", command,
-                         "--synth", "n=20,m=30,d=4,groups=2,seed=1",
-                         "--epochs", "1", flag] + ([] if "=" in flag else ["0"]))
-        assert code == 2
-        err = capsys.readouterr().err
-        assert message in err and "internal error" not in err
+        child = run_capped(["bench", command,
+                            "--synth", "n=20,m=30,d=4,groups=2,seed=1",
+                            "--epochs", "1", flag] + ([] if "=" in flag else ["0"]))
+        assert child.returncode == 2, child.stderr
+        assert message in child.stderr and "internal error" not in child.stderr
 
     @pytest.mark.parametrize("command,flag,value", [
         ("sampler", "--alpha", "7"),  # alpha comes from --draws
@@ -388,14 +399,8 @@ class TestExitCodes:
             loaded.interactions, min_item_count=2).matrix.row_counts.max())
         flags = [str(longest + 1) if f == "LONGEST+1" else f for f in flags]
         out = tmp_path / "data"
-        cap = 512 << 20
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
-            [os.path.dirname(os.path.dirname(cli.__file__)), os.environ.get("PYTHONPATH", "")]))
-        child = subprocess.run(
-            [sys.executable, "-m", "walkrec.cli", "prepare", "--interactions", raw,
-             "--min-item-count", "2", "--out", str(out)] + flags,
-            env=env, capture_output=True, text=True, timeout=120,
-            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+        child = run_capped(["prepare", "--interactions", raw, "--min-item-count", "2",
+                            "--out", str(out)] + flags)
         if setting is None:
             assert child.returncode == 0, child.stderr
             assert (out / "fold2_test.tsv").stat().st_size > 0
@@ -410,33 +415,42 @@ class TestExitCodes:
                          "--draws", "100"])
         assert code == 3
 
-    def test_bad_synth_spec_is_2(self, capsys):
+    def test_bad_synth_spec_is_2(self):
+        # each spec runs in its own capped child process
         for spec, name in [("n=??", "n=??"), ("volume=3", "volume"),
                            ("groups=0", "groups"), ("n=0", "n must"),
                            ("d=0", "d must"), ("m=-2", "m must"),
                            ("test_fraction=2", "test_fraction"),
                            ("exposure_in=3", "exposure_in"),
-                           ("accidental=nan", "accidental")]:
-            code = cli.main(["bench", "sampler", "--synth", spec])
-            err = capsys.readouterr().err
-            assert code == 2, spec
-            assert name in err and "internal error" not in err, spec
+                           ("accidental=nan", "accidental"),
+                           # in range, but no user keeps a positive
+                           ("n=20,m=30,exposure_in=0,exposure_out=0,accidental=0",
+                            "draws no positive pair")]:
+            child = run_capped(["bench", "sampler", "--synth", spec])
+            assert child.returncode == 2, (spec, child.stderr)
+            assert name in child.stderr and "internal error" not in child.stderr, spec
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_diverged_run_is_3_and_saves_nothing(self, tmp_path, capsys):
+        # the evaluated good epochs' log lines go too: metrics.jsonl is left
+        # absent where it was absent and with its old bytes where it was not
         data = run_prepare(tmp_path)
-        model = tmp_path / "model"
-        assert cli.main(["train", "--data", data, "--out", str(model)]
-                        + FAST_TRAIN) == 0
-        before = {p.name: p.read_bytes() for p in model.iterdir()}
-        capsys.readouterr()
-        code = cli.main(["train", "--data", data, "--out", str(model),
-                         "--lr-theta", "1e3", "--lr-phi", "1e3",
-                         "--epochs", "40", "--d", "8", "--k", "4"])
-        assert code == 3
-        err = capsys.readouterr().err
-        assert "diverged in epoch" in err and "not finite" in err
-        assert {p.name: p.read_bytes() for p in model.iterdir()} == before
+        for logged, eval_flags in [(False, []), (False, ["--eval-every", "1"]),
+                                   (True, ["--eval-every", "1"])]:
+            model = tmp_path / f"model_{logged}_{len(eval_flags)}"
+            assert cli.main(["train", "--data", data, "--out", str(model)]
+                            + FAST_TRAIN + (eval_flags if logged else [])) == 0
+            before = {p.name: p.read_bytes() for p in model.iterdir()}
+            assert ("metrics.jsonl" in before) == logged
+            capsys.readouterr()
+            code = cli.main(["train", "--data", data, "--out", str(model),
+                             "--lr-theta", "1e3", "--lr-phi", "1e3",
+                             "--epochs", "40", "--d", "8", "--k", "4"] + eval_flags)
+            assert code == 3
+            err = capsys.readouterr().err
+            assert "diverged in epoch" in err and "not finite" in err
+            assert {p.name: p.read_bytes() for p in model.iterdir()} == before
 
     def test_evaluate_non_finite_factors_is_2(self, tmp_path, capsys):
         data = run_prepare(tmp_path)

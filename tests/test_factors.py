@@ -7,11 +7,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from walkrec import factors as fa
+from walkrec import trainer
+from walkrec import walker as wk
 from walkrec.errors import ParseError
+from walkrec.graphnet import build_social_graph
 
-from tests.conftest import random_factors
+from tests.conftest import random_factors, random_matrix, random_social
 
 
 class TestSigmoid:
@@ -190,6 +194,78 @@ class TestGradients:
         b = fa.accumulate_pair_gradients(f, users, items, labels, sig=sig)
         np.testing.assert_array_equal(a[0], b[0])
         np.testing.assert_array_equal(a[1], b[1])
+
+
+def coo_gradients(f, users, items, labels, weights=None):
+    """accumulate_pair_gradients through a COO->CSR conversion of the
+    residuals, the reference its direct CSR build must match bit for bit."""
+    r = np.asarray(labels, dtype=np.float64) - fa.predict_pairs(f, users, items)
+    if weights is not None:
+        r = r * weights
+    S = sparse.csr_array((r, (users, items)), shape=(f.n, f.m))
+    return S @ f.Q, S.T @ f.P
+
+
+def gradient_case(name):
+    """(users, items, labels, weights) on a 30 x 40 matrix."""
+    train = random_matrix(30, 40, 0.15, seed=41)
+    rng = np.random.default_rng(42)
+    if name == "walk":
+        social = build_social_graph(random_social(30, 4, seed=43))
+        cfg = wk.SamplerConfig(alpha=40, beta=2.0, c=0.8, t_m=3)
+        b = wk.WalkEngine(social, train, cfg).sample_batch(rng)
+        return b.users, b.items, b.labels, None
+    if name == "empty":
+        none = np.zeros(0, dtype=np.int64)
+        return none, none, np.zeros(0, dtype=np.uint8), None
+    if name in ("unsorted users", "user without pairs"):
+        users = rng.integers(0, 30, size=500)
+        if name == "user without pairs":  # sorted int32, users 0, 7, 29 absent
+            users = np.sort(users[(users != 0) & (users != 7) & (users != 29)])
+            users = users.astype(np.int32)
+        items = rng.integers(0, 40, size=users.size, dtype=users.dtype)
+        return users, items, train.labels(users, items), None
+    kind, weighted = name.split()
+    b = wk.BaselineSampler(kind, train).sample(600, rng)
+    return (b.users, b.items, b.labels,
+            rng.random(b.size) * 3.0 if weighted == "weighted" else None)
+
+
+GRADIENT_CASES = (["walk", "unsorted users", "empty", "user without pairs"]
+                  + [f"{kind} {weighted}" for kind in wk.BASELINE_KINDS
+                     for weighted in ("plain", "weighted")])
+
+
+class TestDirectCsrGradients:
+    @pytest.mark.parametrize("name", GRADIENT_CASES)
+    def test_matches_coo_build_bit_for_bit(self, name):
+        users, items, labels, weights = gradient_case(name)
+        if name == "walk":
+            assert (np.diff(users) >= 0).all() and np.unique(
+                users * 40 + items).size < users.size  # repeated pairs
+        if name == "unsorted users" or name.endswith("union plain"):
+            assert (np.diff(users) < 0).any()
+        f = random_factors(30, 40, 5, seed=44)
+        kept = [a.copy() for a in (users, items, labels)]
+        got = fa.accumulate_pair_gradients(f, users, items, labels, weights)
+        want = coo_gradients(f, users, items, labels, weights)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype
+            np.testing.assert_array_equal(g, w)
+        for before, after in zip(kept, (users, items, labels)):
+            np.testing.assert_array_equal(after, before)
+            assert after.dtype == before.dtype
+
+    @pytest.mark.parametrize("name", ["walk", "unsorted users", "cobias plain"])
+    def test_theta_step_leaves_the_batch_unchanged(self, name):
+        users, items, labels, _ = gradient_case(name)
+        batch = wk.SampleBatch(users=users, items=items, labels=labels,
+                               expected_scale=1.0)
+        kept = [a.copy() for a in (users, items, labels)]
+        trainer.update_theta_from_batch(random_factors(30, 40, 5, seed=45),
+                                        batch, lr=0.1, l2=0.01)
+        for before, after in zip(kept, (batch.users, batch.items, batch.labels)):
+            np.testing.assert_array_equal(after, before)
 
 
 class TestPairDots:

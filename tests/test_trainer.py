@@ -2,6 +2,7 @@
 
 import logging
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ from walkrec.errors import ConfigError
 from walkrec.exposure import g_term
 from walkrec.factors import (TAU, ModelConfig, PreferenceFactors, bern_ll,
                              predict_pairs, sigmoid)
-from walkrec.walker import SampleBatch, SamplerConfig
+from walkrec.graphnet import build_social_graph
+from walkrec.walker import SampleBatch, SamplerConfig, WalkEngine
 
 from tests.conftest import random_factors, random_matrix, random_social
 
@@ -109,6 +111,25 @@ class TestThetaUpdate:
             eQ[i] += r * P0[u] - 0.05 * Q0[i]
         np.testing.assert_allclose(f.P, P0 + 0.1 * eP, rtol=1e-12)
         np.testing.assert_allclose(f.Q, Q0 + 0.1 * eQ, rtol=1e-12)
+
+    def test_peak_memory_per_pair(self):
+        # about 190k walk pairs: the predictions, the residuals and one
+        # 32-bit index copy, 21 bytes a pair; with a float copy of the
+        # labels, batch-sized sigmoid temporaries and a COO build, 41
+        train = random_matrix(400, 600, 0.04, seed=61)
+        social = build_social_graph(random_social(400, 8, seed=62))
+        engine = WalkEngine(social, train, SamplerConfig(alpha=400, beta=20.0))
+        batch = engine.sample_batch(np.random.default_rng(63))
+        assert 150_000 < batch.size < 250_000
+        f = random_factors(400, 600, 32, seed=64)
+        trainer.update_theta_from_batch(f, batch, lr=0.01)  # warm up
+        tracemalloc.start()
+        try:
+            trainer.update_theta_from_batch(f, batch, lr=0.01)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 30 * batch.size
 
     def test_empty_batch_warns_and_skips(self, caplog):
         f = random_factors(2, 2, 2, seed=1)

@@ -463,6 +463,26 @@ class TestWalkEngineEmission:
         block_bytes = 9 * fa.PAIR_DOT_CELLS  # the uniforms and their mask
         assert peak < 2 * block_bytes + 64 * users.size + 64 * 400
 
+    def test_emit_peak_memory_per_kept_pair(self):
+        # about 190k kept pairs from 160k walks: the exact-size outputs (17
+        # bytes a pair) beside 8 bytes a pair of kept ids, 27 bytes a pair
+        # in all; concatenating per-block parts took 63
+        train = random_matrix(400, 600, 0.04, seed=61)
+        social = build_social_graph(random_social(400, 8, seed=62))
+        cfg = wk.SamplerConfig(alpha=400, beta=20.0, c=0.9, t_m=5)
+        engine = wk.WalkEngine(social, train, cfg)
+        origins = np.repeat(np.arange(400, dtype=np.int64), cfg.alpha)
+        stops = engine.stop_users(origins, np.random.default_rng(63))
+        engine.emit(origins, stops, np.random.default_rng(65))  # warm up
+        tracemalloc.start()
+        try:
+            users, _, _ = engine.emit(origins, stops, np.random.default_rng(65))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 150_000 < users.size < 250_000
+        assert peak <= 32 * users.size
+
     @pytest.mark.parametrize("beta", [1.0, 3.0, 20.0])
     @pytest.mark.parametrize("block", [1, 7, 40, fa.PAIR_DOT_CELLS, 10 ** 9])
     @pytest.mark.parametrize("order", ["sorted", "gapped", "shuffled"])
