@@ -20,7 +20,6 @@ import numpy as np
 from . import corpus, metrics, synth, trainer
 from .errors import (ConfigError, EmptyDatasetError, EstimatorError,
                      GuardError, ParseError, WalkrecError)
-from .factors import load_factors
 from .graphnet import dense_transition
 from .oracle import dense_gamma_truncated
 from .trainer import TrainConfig, parse_ks
@@ -72,6 +71,13 @@ def _read_manifest(path: str) -> tuple[int, int]:
     return dims[0], dims[1]
 
 
+def _require_test(data: str, test, use: str) -> None:
+    """Refuse use, a command or flag, when data has no test pairs."""
+    if test is None:
+        raise ConfigError(f"{os.path.join(data, 'interactions_test.tsv')} is "
+                          f"missing or holds no pairs; {use} needs a test split")
+
+
 def _load_data_dir(path: str):
     train_path = os.path.join(path, "interactions_train.tsv")
     if not os.path.exists(train_path):
@@ -103,7 +109,11 @@ def cmd_prepare(args: argparse.Namespace) -> int:
                                         min_item_count=args.min_item_count,
                                         max_item_count=args.max_item_count)
     matrix = result.matrix
-    spec = corpus.SplitSpec(test_fraction=args.test_fraction, seed=args.seed)
+    fraction = {} if args.test_fraction is None else {"test_fraction": args.test_fraction}
+    if fraction and args.folds is not None:
+        raise ConfigError("--test-fraction does not apply with --folds, whose "
+                          "fold 0 is the holdout")
+    spec = corpus.SplitSpec(seed=args.seed, **fraction)
     folds = None if args.folds is None else corpus.split_folds(matrix, args.folds, args.seed)
     os.makedirs(args.out, exist_ok=True)
     if folds is None:
@@ -140,7 +150,7 @@ def cmd_prepare(args: argparse.Namespace) -> int:
         "social_edges": n_social,
         "min_item_count": args.min_item_count,
         "max_item_count": args.max_item_count,
-        "test_fraction": args.test_fraction,
+        "test_fraction": spec.test_fraction,
         "folds": args.folds,
         "seed": args.seed,
         "symmetrize": bool(args.symmetrize),
@@ -155,12 +165,10 @@ def cmd_train(args: argparse.Namespace) -> int:
     config = TrainConfig.from_flat(_merge_train_settings(args),
                                    origin=args.config or "train flags")
     train, test, social = _load_data_dir(args.data)
-    if config.mode == "samwalker" and social is None:
-        raise ConfigError("samwalker mode needs social.tsv in the data "
-                          "directory (pass --social to prepare)")
-    state = None
-    if args.resume:
-        state = trainer.load_state(args.out, config, train, social=social)
+    if config.eval_every:
+        _require_test(args.data, test, "--eval-every")
+    state = (trainer.load_state(args.out, config, train, social=social)
+             if args.resume else trainer.init_state(train, config, social))
     log_path = os.path.join(args.out, "metrics.jsonl") if config.eval_every else None
     if log_path:
         os.makedirs(args.out, exist_ok=True)
@@ -172,13 +180,10 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    train, test, _ = _load_data_dir(args.data)
-    if test is None:
-        raise ConfigError(f"{args.data}: no interactions_test.tsv to evaluate on")
-    meta, saved = trainer.read_state_json(args.model)
-    trainer.check_same_data(meta, trainer.train_sha256(train), args.model)
+    train, test, social = _load_data_dir(args.data)
+    _require_test(args.data, test, "evaluate")
+    factors = trainer.load_state(args.model, None, train, social=social).factors
     path = os.path.join(args.model, "factors.bin")
-    factors = load_factors(path, train.n, train.m, saved.model.d)
     if not (np.isfinite(factors.P).all() and np.isfinite(factors.Q).all()):
         raise ConfigError(f"{path}: holds non-finite values (the run that "
                           "wrote it diverged); retrain")
@@ -290,8 +295,7 @@ def cmd_bench_sweep(args: argparse.Namespace) -> int:
     """bench tm-sweep and bench ablation: one fit and one evaluation per
     (label, overrides) variant, one CSV row per metric."""
     train, test, social = _bench_instance(args)
-    if test is None:
-        raise ConfigError(f"bench {args.bench_kind} needs a test split")
+    _require_test(args.data, test, f"bench {args.bench_kind}")
     if args.bench_kind == "tm-sweep":
         column = "t_m"
         variants = [(t_m, {"t_m": t_m}) for t_m in parse_ks(args.tm_values)]
@@ -337,9 +341,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="drop items with fewer consumers (default 3)")
     p.add_argument("--max-item-count", type=int, default=100,
                    help="drop items with more consumers (default 100)")
-    p.add_argument("--test-fraction", type=float, default=0.1,
+    p.add_argument("--test-fraction", type=float,
                    help="per-user holdout fraction (default 0.1)")
-    p.add_argument("--folds", type=int, help="emit K cross-validation folds")
+    p.add_argument("--folds", type=int,
+                   help="emit K cross-validation folds, fold 0 as the holdout")
     p.add_argument("--seed", type=int, default=0, help="split seed (default 0)")
     p.add_argument("--symmetrize", action="store_true",
                    help="treat social edges as undirected")

@@ -129,13 +129,15 @@ class FilterResult:
 
 @dataclass(frozen=True)
 class SplitSpec:
-    test_fraction: float
+    test_fraction: float = 0.1
     seed: int = 0
 
     def __post_init__(self):
         if not 0.0 <= self.test_fraction < 1.0:
             raise ConfigError(
                 f"test_fraction must lie in [0, 1), got {self.test_fraction}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
 
 def read_bytes(path: str) -> bytes:

@@ -21,7 +21,7 @@ No other module needs to know which family it holds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -36,6 +36,9 @@ GRAPH_VERSION = 1
 MODE_SOCIAL = 0
 MODE_PSEUDO = 1
 INIT_SCALE = 0.01  # standard deviation of the initial edge logits
+# Initial mix logit per bridge ablation: sigmoid(+-1000) is exactly 1 or 0,
+# where the gate's gradient a(1 - a) is exactly 0, so an ablated mix stays.
+ABLATION_MIX = {"none": 0.0, "no_item": -1000.0, "no_community": 1000.0}
 
 
 def segment_softmax(logits: np.ndarray, indptr: np.ndarray) -> np.ndarray:
@@ -115,18 +118,16 @@ class PseudoGraphParams:
         return self.train.m
 
 
-@dataclass
-class SocialGraphGrads:
-    logits: np.ndarray
-
-
-@dataclass
-class PseudoGraphGrads:
-    ui_logits: np.ndarray
-    iu_logits: np.ndarray
-    uc_logits: np.ndarray
-    cu_logits: np.ndarray
-    mix_logits: np.ndarray
+def logit_arrays(params) -> dict[str, np.ndarray]:
+    """A graph's learnable arrays by name, in checkpoint order: the one list
+    the checkpoint, the graph step and the finiteness check read. A fold's
+    backward returns the gradient as params of its family, indexed alike."""
+    if isinstance(params, SocialGraphParams):
+        return {"logits": params.logits}
+    if isinstance(params, PseudoGraphParams):
+        return {name: getattr(params, name) for name in (
+            "ui_logits", "iu_logits", "uc_logits", "cu_logits", "mix_logits")}
+    raise TypeError(f"not a graph parameter object: {type(params).__name__}")
 
 
 class _RowSampler:
@@ -215,9 +216,13 @@ def build_social_graph(edges: SocialEdges, seed=0) -> SocialGraphParams:
     )
 
 
-def build_pseudo_graph(train: InteractionMatrix, K: int = 32, seed=0) -> PseudoGraphParams:
+def build_pseudo_graph(train: InteractionMatrix, K: int = 32, seed=0,
+                       ablation: str = "none") -> PseudoGraphParams:
     if K < 1:
         raise ConfigError("K must be at least 1")
+    if ablation not in ABLATION_MIX:
+        raise ConfigError(f"unknown ablation {ablation!r}; expected one of "
+                          f"{tuple(ABLATION_MIX)}")
     rng = np.random.default_rng(seed)
     nnz, n, m = train.nnz, train.n, train.m
     return PseudoGraphParams(
@@ -227,7 +232,7 @@ def build_pseudo_graph(train: InteractionMatrix, K: int = 32, seed=0) -> PseudoG
         iu_logits=rng.normal(0.0, INIT_SCALE, size=nnz),
         uc_logits=rng.normal(0.0, INIT_SCALE, size=(n, K)),
         cu_logits=rng.normal(0.0, INIT_SCALE, size=(K, n)),
-        mix_logits=np.zeros(n, dtype=np.float64),
+        mix_logits=np.full(n, ABLATION_MIX[ablation]),
     )
 
 
@@ -252,14 +257,14 @@ class SocialTransition:
         return self.W @ G, None
 
     def backward(self, gammas, parts_list, gbar, t_m: int,
-                 c: float) -> SocialGraphGrads:
-        """Logit gradient from the taped propagation and d objective / d gamma."""
+                 c: float) -> SocialGraphParams:
+        """Logit gradient, as params, from the tape and d objective / d gamma."""
         gprobs = np.zeros_like(self.probs)
         for t in range(t_m, 0, -1):
             gprobs += c * pair_dots(gbar, self.src, gammas[t - 1], self.targets)
             gbar = c * (self.W.T @ gbar)
-        return SocialGraphGrads(
-            logits=segment_softmax_vjp(self.probs, gprobs, self.indptr))
+        return replace(self.params,
+                       logits=segment_softmax_vjp(self.probs, gprobs, self.indptr))
 
     @cached_property
     def _sampler(self) -> _RowSampler:
@@ -313,8 +318,8 @@ class PseudoTransition:
         return out, (s, tc, mi - mc)
 
     def backward(self, gammas, parts_list, gbar, t_m: int,
-                 c: float) -> PseudoGraphGrads:
-        """Logit gradient from the taped propagation and d objective / d gamma."""
+                 c: float) -> PseudoGraphParams:
+        """Logit gradient, as params, from the tape and d objective / d gamma."""
         gui = np.zeros_like(self.ui_probs)
         giu = np.zeros_like(self.iu_probs)
         guc = np.zeros_like(self.uc_probs)
@@ -335,13 +340,12 @@ class PseudoTransition:
             gbar = self.IU.T @ sbar + self.cu_probs.T @ tbar
         gmix = self.a * (1.0 - self.a) * ga
         gmix[self.forced] = 0.0
-        return PseudoGraphGrads(ui_logits=segment_softmax_vjp(self.ui_probs, gui,
-                                                              self.ui_indptr),
-                                iu_logits=segment_softmax_vjp(self.iu_probs, giu,
-                                                              self.iu_indptr),
-                                uc_logits=row_softmax_vjp(self.uc_probs, guc),
-                                cu_logits=row_softmax_vjp(self.cu_probs, gcu),
-                                mix_logits=gmix)
+        return replace(self.params,
+                       ui_logits=segment_softmax_vjp(self.ui_probs, gui, self.ui_indptr),
+                       iu_logits=segment_softmax_vjp(self.iu_probs, giu, self.iu_indptr),
+                       uc_logits=row_softmax_vjp(self.uc_probs, guc),
+                       cu_logits=row_softmax_vjp(self.cu_probs, gcu),
+                       mix_logits=gmix)
 
     @cached_property
     def _samplers(self) -> tuple[_RowSampler, ...]:
@@ -394,17 +398,14 @@ def dense_transition(graph, max_cells: int = 10_000_000) -> np.ndarray:
 
 def _layout(params):
     """The graph checkpoint's header (version, mode, n, m, K, edge count),
-    with m and K zero in social mode, and its logit arrays; topology is not
+    with m and K zero in social mode, and its logit_arrays; topology is not
     stored."""
+    arrays = tuple(logit_arrays(params).values())
     if isinstance(params, SocialGraphParams):
-        return ((GRAPH_VERSION, MODE_SOCIAL, params.n, 0, 0,
-                 params.edges.n_edges), (params.logits,))
-    if isinstance(params, PseudoGraphParams):
-        return ((GRAPH_VERSION, MODE_PSEUDO, params.n, params.m, params.K,
-                 params.train.nnz),
-                (params.ui_logits, params.iu_logits, params.uc_logits,
-                 params.cu_logits, params.mix_logits))
-    raise TypeError(f"not a graph parameter object: {type(params).__name__}")
+        return (GRAPH_VERSION, MODE_SOCIAL, params.n, 0, 0,
+                params.edges.n_edges), arrays
+    return (GRAPH_VERSION, MODE_PSEUDO, params.n, params.m, params.K,
+            params.train.nnz), arrays
 
 
 def save_graph(path: str, params) -> None:

@@ -39,8 +39,8 @@ def planted_instance(n: int = 300, m: int = 500, d: int = 8, groups: int = 4,
     and Bernoulli(accidental) otherwise. Each generated positive goes to the
     test split with probability test_fraction (users keep at least one train
     positive; users with no positives at all are dropped and ids repacked).
-    A size below 1 or a probability outside [0, 1] is a ConfigError naming
-    the parameter.
+    A size below 1, a probability outside [0, 1] or a negative seed is a
+    ConfigError naming the parameter.
     """
     for name, size in (("n", n), ("m", m), ("d", d), ("groups", groups)):
         if size < 1:
@@ -49,6 +49,8 @@ def planted_instance(n: int = 300, m: int = 500, d: int = 8, groups: int = 4,
                     ("accidental", accidental), ("test_fraction", test_fraction)):
         if not 0.0 <= p <= 1.0:
             raise ConfigError(f"synth {name} must lie in [0, 1], got {p}")
+    if seed < 0:
+        raise ConfigError(f"synth seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     group_of_user = rng.integers(0, groups, size=n)
     pool_of_item = rng.integers(0, groups, size=m)

@@ -35,16 +35,16 @@ from .factors import (ModelConfig, PreferenceFactors,
                       accumulate_pair_gradients, bern_ll, clamped_sigmoid,
                       init_factors, load_factors, predict_pairs, save_factors,
                       sigmoid)
-from .graphnet import (PseudoGraphParams, SocialGraphParams,
+from .graphnet import (ABLATION_MIX, PseudoGraphParams, SocialGraphParams,
                        build_pseudo_graph, build_social_graph, load_graph,
-                       normalize_edges, save_graph)
+                       logit_arrays, normalize_edges, save_graph)
 from .metrics import evaluate
 from .walker import BaselineSampler, SamplerConfig, SampleBatch, WalkEngine
 
 _logger = logging.getLogger(__name__)
 
 MODES = ("samwalker", "samwalker_pp", "exmf_dense")
-ABLATIONS = ("none", "no_item", "no_community")
+ABLATIONS = tuple(ABLATION_MIX)
 DENSE_CELL_GUARD = 10_000_000
 
 
@@ -116,6 +116,8 @@ class TrainConfig:
             raise ConfigError("K must be at least 1")
         if self.eval_every < 0:
             raise ConfigError("eval_every must be >= 0")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if not self.eval_ks or min(self.eval_ks) < 1:
             raise ConfigError("eval_ks must be positive cutoffs")
         if len(set(self.eval_ks)) != len(self.eval_ks):
@@ -246,9 +248,9 @@ def update_phi_step(graph, factors: PreferenceFactors, X: InteractionMatrix,
     value, grads = phi_objective_and_backward(
         fold, factors, X, items, sampler.t_m, sampler.c,
         model.eta, model.epsilon, tape=tape)
-    for name, grad in vars(grads).items():
-        logits = getattr(fold.params, name)
-        logits += model.lr_phi * grad
+    grad = logit_arrays(grads)
+    for name, logits in logit_arrays(fold.params).items():
+        logits += model.lr_phi * grad[name]
     return value
 
 
@@ -274,19 +276,15 @@ def init_state(train: InteractionMatrix, config: TrainConfig,
                social: SocialEdges | None = None) -> TrainState:
     if config.mode == "samwalker":
         if social is None:
-            raise ConfigError("samwalker mode requires social edges")
+            raise ConfigError("samwalker mode needs social edges: a prepared "
+                              "directory's social.tsv (prepare --social)")
         graph = build_social_graph(
             social, seed=np.random.SeedSequence(config.seed, spawn_key=(0, 1)))
     elif config.mode == "samwalker_pp":
         graph = build_pseudo_graph(
             train, K=config.K,
-            seed=np.random.SeedSequence(config.seed, spawn_key=(0, 1)))
-        # sigmoid(+-1000) is exactly 1 or 0, so the gate's gradient a(1 - a)
-        # is exactly 0 and the ablated mix never moves
-        if config.ablation == "no_community":
-            graph.mix_logits[:] = 1000.0
-        elif config.ablation == "no_item":
-            graph.mix_logits[:] = -1000.0
+            seed=np.random.SeedSequence(config.seed, spawn_key=(0, 1)),
+            ablation=config.ablation)
     else:
         if train.n * train.m > DENSE_CELL_GUARD:
             raise GuardError(
@@ -304,7 +302,7 @@ def _walk_epoch(state: TrainState, train: InteractionMatrix,
     cfg = state.config
     fold = normalize_edges(state.graph)
     engine = WalkEngine(fold, train, cfg.sampler)
-    batch_size = 0
+    batch_size = transition_steps = 0
     theta_ll = 0.0
     # The graph step's taped forward reads the fold and train only, so it
     # runs on a helper thread beside the last theta update. Its items are
@@ -314,6 +312,7 @@ def _walk_epoch(state: TrainState, train: InteractionMatrix,
         for step in range(cfg.theta_steps):
             batch = engine.sample_batch(rng)
             batch_size += batch.size
+            transition_steps += engine.last_transition_steps
             if step + 1 == cfg.theta_steps:
                 items = _select_phi_items(train.m, cfg.n_si, rng)
                 forward = helper.submit(forward_tape, fold, train, items,
@@ -326,7 +325,7 @@ def _walk_epoch(state: TrainState, train: InteractionMatrix,
                             cfg.model, cfg.sampler, tape=tape)
     return {"epoch": state.epoch, "phi_objective": value,
             "batch_size": batch_size, "batch_ll": theta_ll,
-            "transition_steps": engine.last_transition_steps}
+            "transition_steps": transition_steps}
 
 
 def _dense_epoch(state: TrainState, Xd: np.ndarray) -> dict:
@@ -353,8 +352,7 @@ def _check_finite(state: TrainState, record: dict) -> None:
     quantities += [("P", state.factors.P), ("Q", state.factors.Q)]
     if state.graph is not None:
         quantities += [(f"graph {name}", value)
-                       for name, value in vars(state.graph).items()
-                       if name.endswith("logits")]
+                       for name, value in logit_arrays(state.graph).items()]
     for name, value in quantities:
         if not np.isfinite(value).all():
             raise EstimatorError(
@@ -446,9 +444,18 @@ def save_state(out_dir: str, state: TrainState) -> None:
     write_json_object(os.path.join(out_dir, "state.json"), meta)
 
 
-def read_state_json(out_dir: str) -> tuple[dict, TrainConfig]:
-    """A checkpoint directory's state.json and the config it records; a
-    missing or malformed file is a ParseError or ConfigError naming it."""
+def load_state(out_dir: str, config: TrainConfig | None, train: InteractionMatrix,
+               social: SocialEdges | None = None) -> TrainState:
+    """Rebuild a TrainState from save_state output plus the data topology.
+
+    config None means the settings state.json records; otherwise every
+    setting but RESUME_FREE (and K outside samwalker_pp) must match it, and
+    train must be the matrix the checkpoint was fitted on, or the resumed
+    run would neither replay the checkpointed one nor be recorded truthfully.
+    A mismatch, or a missing, malformed or wrongly shaped checkpoint file
+    (each file is read into the state init_state builds for this run), is
+    a ConfigError or ParseError naming the field or the file.
+    """
     path = os.path.join(out_dir, "state.json")
     meta = read_json_object(path)
     if not isinstance(meta.get("config"), dict):
@@ -459,34 +466,14 @@ def read_state_json(out_dir: str) -> tuple[dict, TrainConfig]:
             or not isinstance(meta.get("train_sha256"), str)):
         raise ConfigError(f"{path}: epoch, history or train_sha256 missing "
                           "or malformed")
-    return meta, TrainConfig.from_flat(meta["config"], origin=path)
-
-
-def check_same_data(meta: dict, digest: str, out_dir: str) -> None:
-    """Refuse a checkpoint whose state.json (meta, from read_state_json)
-    records a train matrix other than the one with SHA-256 digest."""
-    if meta["train_sha256"] != digest:
+    saved = TrainConfig.from_flat(meta["config"], origin=path)
+    config = config or saved
+    _check_same_run(saved, config, out_dir, "checkpoint")
+    state = init_state(train, config, social)
+    if meta["train_sha256"] != state.train_sha256:
         raise ConfigError(f"{out_dir}: checkpoint was trained on other data "
                           "(train matrix SHA-256 differs); use the "
                           "checkpoint's data")
-
-
-def load_state(out_dir: str, config: TrainConfig, train: InteractionMatrix,
-               social: SocialEdges | None = None) -> TrainState:
-    """Rebuild a TrainState from save_state output plus the data topology.
-
-    Every checkpointed setting except RESUME_FREE (and K outside
-    samwalker_pp) must match config, and train must be the matrix the
-    checkpoint was fitted on; a mismatch is a ConfigError naming the field,
-    since the resumed run would neither replay the checkpointed one nor be
-    recorded truthfully. factors.bin and graph.bin are read into the state
-    init_state builds for this run, so a file of any other shape is a
-    ParseError naming it.
-    """
-    meta, saved = read_state_json(out_dir)
-    _check_same_run(saved, config, out_dir, "checkpoint")
-    state = init_state(train, config, social)
-    check_same_data(meta, state.train_sha256, out_dir)
     state.factors = load_factors(os.path.join(out_dir, "factors.bin"),
                                  train.n, train.m, config.model.d)
     if state.graph is not None:

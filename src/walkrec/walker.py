@@ -53,6 +53,8 @@ class SamplerConfig:
             raise ConfigError("c must lie in [0, 1)")
         if self.t_m < 0:
             raise ConfigError("t_m must be nonnegative")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass

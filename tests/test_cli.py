@@ -228,14 +228,29 @@ class TestExitCodes:
         ('{"d": 4.5}', "d must be an integer, got 4.5"),
         ('{"alpha": 1e400}', "alpha must be an integer, got inf"),
     ])
-    def test_bad_config_value_is_2(self, tmp_path, capsys, text, message):
+    def test_bad_config_value_is_2(self, tmp_path, text, message):
         data = run_prepare(tmp_path)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(text)
-        code = cli.main(["train", "--data", data, "--config", str(cfg),
-                         "--out", str(tmp_path / "model")])
-        assert code == 2
-        assert f"cfg.json: {message}" in capsys.readouterr().err
+        child = run_capped(["train", "--data", data, "--config", str(cfg),
+                            "--out", str(tmp_path / "model")])
+        assert child.returncode == 2, child.stderr
+        assert f"cfg.json: {message}" in child.stderr
+        assert not os.path.exists(tmp_path / "model")
+
+    @pytest.mark.parametrize("config,flags", [
+        (None, ["--seed", "-1"]), (None, ["--seed=-1"]),
+        ('{"seed": -1}', []), ('{"seed": 1}', ["--seed", "-2"]),
+    ], ids=["flag", "flag-equals", "config", "flag-over-config"])
+    def test_negative_seed_is_2(self, tmp_path, config, flags):
+        data = run_prepare(tmp_path)
+        if config is not None:
+            (tmp_path / "cfg.json").write_text(config)
+            flags = ["--config", str(tmp_path / "cfg.json")] + flags
+        child = run_capped(["train", "--data", data, "--out", str(tmp_path / "model")]
+                           + FAST_TRAIN + flags)
+        assert child.returncode == 2, child.stderr
+        assert "seed must be non-negative" in child.stderr
         assert not os.path.exists(tmp_path / "model")
 
     @pytest.mark.parametrize("content", [
@@ -280,9 +295,7 @@ class TestExitCodes:
         before = open(os.path.join(model, "state.json")).read()
         capsys.readouterr()
         runs = [["train", "--data", data, "--out", model, "--resume"]
-                + FAST_TRAIN]
-        if name == "factors.bin":
-            runs.append(["evaluate", "--data", data, "--model", model])
+                + FAST_TRAIN, ["evaluate", "--data", data, "--model", model]]
         for argv in runs:
             assert cli.main(argv) == 2
             err = capsys.readouterr().err
@@ -308,9 +321,7 @@ class TestExitCodes:
                 fh.write(blob[:-cut])
         capsys.readouterr()
         runs = [["train", "--data", data, "--out", model, "--resume"]
-                + FAST_TRAIN]
-        if name == "factors.bin":
-            runs.append(["evaluate", "--data", data, "--model", model])
+                + FAST_TRAIN, ["evaluate", "--data", data, "--model", model]]
         for argv in runs:
             assert cli.main(argv) == 2
             err = capsys.readouterr().err
@@ -318,15 +329,15 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("flag", ["--beta", "--c", "--eta", "--epsilon",
                                       "--lr-theta", "--lr-phi", "--l2-theta"])
-    def test_non_finite_hyperparameter_is_2(self, tmp_path, capsys, flag):
+    def test_non_finite_hyperparameter_is_2(self, tmp_path, flag):
         data = run_prepare(tmp_path)
         field = flag[2:].replace("-", "_")
         for value in ("nan", "inf"):
-            code = cli.main(["train", "--data", data,
-                             "--out", str(tmp_path / "model")]
-                            + FAST_TRAIN + [flag, value])
-            assert code == 2
-            assert f"{field} must be finite" in capsys.readouterr().err
+            child = run_capped(["train", "--data", data,
+                                "--out", str(tmp_path / "model")]
+                               + FAST_TRAIN + [flag, value])
+            assert child.returncode == 2, child.stderr
+            assert f"{field} must be finite" in child.stderr
         assert not os.path.exists(tmp_path / "model")
 
     @pytest.mark.parametrize("command", ["sampler", "variance", "tm-sweep",
@@ -352,6 +363,7 @@ class TestExitCodes:
         ("variance", "--repeats=1", "--repeats must be at least 2"),
         ("variance", "--coords", "--coords must be at least 1"),
         ("variance", "--coords=-3", "--coords must be at least 1"),
+        ("variance", "--seed=-1", "seed must be non-negative"),
     ])
     def test_bench_zero_width_is_2(self, command, flag, message):
         # a flag given as --name=value carries its own value, not 0
@@ -386,10 +398,13 @@ class TestExitCodes:
         (["--min-item-count", "0"], "min_item_count"),
         (["--min-item-count", "-1"], "min_item_count"),
         (["--min-item-count", "5", "--max-item-count", "4"], "max_item_count"),
+        (["--seed", "-1"], "seed must be non-negative"),
+        # fold 0 is the holdout, so a fraction beside it would be ignored
+        (["--folds", "3", "--test-fraction", "0.1"], "--test-fraction does not apply with --folds"),
         (["--folds", "3"], None),  # the control: the cap leaves room to run
     ], ids=["folds-0", "folds-1", "folds-neg", "folds-above-longest", "fraction-1.5",
             "fraction-neg", "fraction-nan", "min-0", "min-neg", "max-below-min",
-            "control"])
+            "seed-neg", "folds-and-fraction", "control"])
     def test_bad_split_or_filter_value_is_2(self, tmp_path, flags, setting):
         # each row runs prepare in its own child process with its address
         # space capped, so a refusal that came too late would fail fast
@@ -423,6 +438,7 @@ class TestExitCodes:
                            ("test_fraction=2", "test_fraction"),
                            ("exposure_in=3", "exposure_in"),
                            ("accidental=nan", "accidental"),
+                           ("seed=-1", "synth seed must be non-negative"),
                            # in range, but no user keeps a positive
                            ("n=20,m=30,exposure_in=0,exposure_out=0,accidental=0",
                             "draws no positive pair")]:
@@ -452,6 +468,41 @@ class TestExitCodes:
             assert "diverged in epoch" in err and "not finite" in err
             assert {p.name: p.read_bytes() for p in model.iterdir()} == before
 
+    def test_evaluate_samwalker_without_social_is_2(self, tmp_path, capsys):
+        # evaluate rebuilds the graph a samwalker model was trained on
+        data = run_prepare(tmp_path)
+        model = str(tmp_path / "model")
+        assert cli.main(["train", "--data", data, "--out", model, "--mode",
+                         "samwalker"] + FAST_TRAIN) == 0
+        os.remove(os.path.join(data, "social.tsv"))
+        capsys.readouterr()
+        assert cli.main(["evaluate", "--data", data, "--model", model]) == 2
+        assert "social.tsv" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    def test_empty_test_split_is_2(self, tmp_path, capsys, command):
+        # prepare --test-fraction 0 leaves interactions_test.tsv empty
+        raw, _ = write_raw_dataset(tmp_path)
+        data = str(tmp_path / "data")
+        assert cli.main(["prepare", "--interactions", raw, "--min-item-count", "2",
+                         "--test-fraction", "0", "--out", data]) == 0
+        test_path = os.path.join(data, "interactions_test.tsv")
+        assert os.path.getsize(test_path) == 0
+        model = tmp_path / "model"
+        if command == "train":
+            argv = ["train", "--data", data, "--out", str(model),
+                    "--eval-every", "1"] + FAST_TRAIN
+        else:
+            assert cli.main(["train", "--data", data, "--out", str(model)]
+                            + FAST_TRAIN) == 0
+            argv = ["evaluate", "--data", data, "--model", str(model)]
+        capsys.readouterr()
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"{test_path} is missing or holds no pairs" in err
+        if command == "train":
+            assert "--eval-every" in err and not model.exists()
+
     def test_evaluate_non_finite_factors_is_2(self, tmp_path, capsys):
         data = run_prepare(tmp_path)
         model = str(tmp_path / "model")
@@ -460,9 +511,9 @@ class TestExitCodes:
         with open(os.path.join(data, "manifest.json")) as fh:
             manifest = json.load(fh)
         path = os.path.join(model, "factors.bin")
-        factors = load_factors(
-            path, manifest["n"], manifest["m"],
-            trainer.read_state_json(model)[1].model.d)
+        with open(os.path.join(model, "state.json")) as fh:
+            d = json.load(fh)["config"]["d"]
+        factors = load_factors(path, manifest["n"], manifest["m"], d)
         factors.Q[-1, -1] = np.inf
         save_factors(path, factors)
         capsys.readouterr()
@@ -559,8 +610,7 @@ class TestPrepare:
         raw, _ = write_raw_dataset(tmp_path, seed=3)
         out = str(tmp_path / "folds")
         code = cli.main(["prepare", "--interactions", raw, "--folds", "3",
-                         "--min-item-count", "2", "--test-fraction", "0.2",
-                         "--out", out])
+                         "--min-item-count", "2", "--out", out])
         assert code == 0
         names = set(os.listdir(out))
         assert {"fold0_train.tsv", "fold2_test.tsv"} <= names

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from walkrec import graphnet as gn
-from walkrec.errors import GuardError, ParseError
+from walkrec.errors import ConfigError, GuardError, ParseError
 
 from tests.conftest import random_matrix, random_social
 
@@ -196,6 +196,44 @@ class TestTransitionRowDispatch:
         params = gn.build_social_graph(edges, seed=0)
         with pytest.raises(GuardError):
             gn.dense_transition(params, max_cells=10)
+
+
+class TestLogitArrays:
+    def test_names_and_order(self):
+        social = gn.build_social_graph(random_social(5, 2, seed=9), seed=0)
+        pseudo = gn.build_pseudo_graph(random_matrix(5, 6, 0.4, seed=9), K=2)
+        assert list(gn.logit_arrays(social)) == ["logits"]
+        assert list(gn.logit_arrays(pseudo)) == [
+            "ui_logits", "iu_logits", "uc_logits", "cu_logits", "mix_logits"]
+        assert gn.logit_arrays(pseudo)["mix_logits"] is pseudo.mix_logits
+        with pytest.raises(TypeError):
+            gn.logit_arrays(gn.normalize_edges(social))
+
+    def test_backward_returns_params_of_its_family(self):
+        # the gradient shares the graph's topology and has its logit shapes
+        train = random_matrix(6, 8, 0.4, seed=9)
+        social = gn.build_social_graph(random_social(6, 2, seed=9), seed=0)
+        pseudo = gn.build_pseudo_graph(train, K=2, seed=0)
+        for params in (social, pseudo):
+            fold = gn.normalize_edges(params)
+            gammas = [np.eye(6, 3)] * 3
+            parts = [fold.apply_W_parts(g)[1] for g in gammas]
+            grads = fold.backward(gammas, parts, np.ones((6, 3)), 2, 0.5)
+            assert type(grads) is type(params)
+            for name, arr in gn.logit_arrays(params).items():
+                grad = gn.logit_arrays(grads)[name]
+                assert grad.shape == arr.shape and grad is not arr
+
+    def test_ablation_pins_the_mix(self):
+        train = random_matrix(5, 6, 0.4, seed=9)
+        base = gn.build_pseudo_graph(train, K=2, seed=3)
+        for ablation, logit in (("none", 0.0), ("no_item", -1000.0),
+                                ("no_community", 1000.0)):
+            params = gn.build_pseudo_graph(train, K=2, seed=3, ablation=ablation)
+            assert np.array_equal(params.mix_logits, np.full(5, logit))
+            assert np.array_equal(params.ui_logits, base.ui_logits)
+        with pytest.raises(ConfigError, match="unknown ablation"):
+            gn.build_pseudo_graph(train, K=2, ablation="no_bridges")
 
 
 class TestGraphCheckpoint:

@@ -13,7 +13,7 @@ from walkrec.errors import ConfigError
 from walkrec.exposure import g_term
 from walkrec.factors import (TAU, ModelConfig, PreferenceFactors, bern_ll,
                              predict_pairs, sigmoid)
-from walkrec.graphnet import build_social_graph
+from walkrec.graphnet import build_social_graph, logit_arrays
 from walkrec.walker import SampleBatch, SamplerConfig, WalkEngine
 
 from tests.conftest import random_factors, random_matrix, random_social
@@ -50,6 +50,12 @@ class TestTrainConfig:
     def test_repeated_eval_cutoff(self):
         with pytest.raises(ConfigError, match="repeats"):
             quick_config(eval_ks=(5, 10, 5))
+
+    def test_negative_seed(self):
+        with pytest.raises(ConfigError, match="seed must be non-negative"):
+            quick_config(seed=-1)
+        with pytest.raises(ConfigError, match="seed must be non-negative"):
+            SamplerConfig(seed=-1)
 
 
 class TestThetaUpdate:
@@ -202,6 +208,22 @@ class TestFitModes:
         with pytest.raises(GuardError):
             trainer.fit(big, quick_config(mode="exmf_dense"))
 
+    def test_epoch_record_sums_every_batch(self):
+        # transition_steps, like batch_size, counts all theta_steps batches
+        train = random_matrix(20, 30, 0.2, seed=6)
+        config = quick_config(theta_steps=3, epochs=1)
+        state = trainer.init_state(train, config)
+        engine = WalkEngine(state.graph, train, config.sampler)
+        rng = trainer._epoch_rng(config.seed, 0)
+        steps, sizes = [], []
+        for _ in range(3):
+            sizes.append(engine.sample_batch(rng).size)
+            steps.append(engine.last_transition_steps)
+        assert len(set(steps)) > 1
+        record = trainer.fit(train, config).history[0]
+        assert record["batch_size"] == sum(sizes)
+        assert record["transition_steps"] == sum(steps)
+
     def test_ablations_freeze_the_gate(self):
         train = random_matrix(10, 12, 0.3, seed=6)
         for ablation, want in (("no_item", 0.0), ("no_community", 1.0)):
@@ -309,6 +331,20 @@ class TestDeterminismAndResume:
         np.testing.assert_array_equal(back.factors.P, state.factors.P)
         np.testing.assert_array_equal(back.graph.logits, state.graph.logits)
 
+    def test_load_without_config_takes_the_checkpoints(self, tmp_path):
+        train = random_matrix(8, 10, 0.3, seed=9)
+        config = quick_config(epochs=2, ablation="no_item", eval_every=1)
+        state = trainer.fit(train, config)
+        trainer.save_state(str(tmp_path), state)
+        back = trainer.load_state(str(tmp_path), None, train)
+        assert back.config == config and back.epoch == 2
+        assert back.history == state.history
+        for name, arr in logit_arrays(state.graph).items():
+            np.testing.assert_array_equal(logit_arrays(back.graph)[name], arr)
+        other = random_matrix(8, 10, 0.3, seed=10)
+        with pytest.raises(ConfigError, match="other data"):
+            trainer.load_state(str(tmp_path), None, other)
+
     def test_load_rejects_mode_mismatch(self, tmp_path):
         train = random_matrix(8, 10, 0.3, seed=10)
         state = trainer.fit(train, quick_config(epochs=1))
@@ -411,11 +447,12 @@ def serial_epoch(state, train, rng) -> dict:
     cfg = state.config
     fold = normalize_edges(state.graph)
     engine = WalkEngine(fold, train, cfg.sampler)
-    batch_size = 0
+    batch_size = transition_steps = 0
     theta_ll = 0.0
     for _ in range(cfg.theta_steps):
         batch = engine.sample_batch(rng)
         batch_size += batch.size
+        transition_steps += engine.last_transition_steps
         theta_ll += trainer.update_theta_from_batch(state.factors, batch,
                                                     cfg.model.lr_theta,
                                                     cfg.model.l2_theta)
@@ -424,7 +461,7 @@ def serial_epoch(state, train, rng) -> dict:
                                     cfg.model, cfg.sampler)
     return {"epoch": state.epoch, "phi_objective": value,
             "batch_size": batch_size, "batch_ll": theta_ll,
-            "transition_steps": engine.last_transition_steps}
+            "transition_steps": transition_steps}
 
 
 def serial_fit(train, config, social):
