@@ -183,10 +183,6 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     train, test, social = _load_data_dir(args.data)
     _require_test(args.data, test, "evaluate")
     factors = trainer.load_state(args.model, None, train, social=social).factors
-    path = os.path.join(args.model, "factors.bin")
-    if not (np.isfinite(factors.P).all() and np.isfinite(factors.Q).all()):
-        raise ConfigError(f"{path}: holds non-finite values (the run that "
-                          "wrote it diverged); retrain")
     report = metrics.evaluate(factors, train, test, ks=parse_ks(args.ks))
     if args.json:
         _write_text(args.out, json.dumps(report.as_dict(), sort_keys=True) + "\n")

@@ -91,9 +91,6 @@ class InteractionMatrix:
         pos = np.minimum(np.searchsorted(self._pair_keys, keys), self.nnz - 1)
         return (self._pair_keys[pos] == keys).astype(np.uint8)
 
-    def contains(self, u: int, i: int) -> bool:
-        return bool(self.labels(np.array([u]), np.array([i]))[0])
-
     def to_dense(self, max_cells: int = 10_000_000) -> np.ndarray:
         if self.n * self.m > max_cells:
             raise GuardError(
@@ -114,9 +111,6 @@ class SocialEdges:
     @property
     def n_edges(self) -> int:
         return int(self.targets.shape[0])
-
-    def neighbors(self, u: int) -> np.ndarray:
-        return self.targets[self.indptr[u]:self.indptr[u + 1]]
 
 
 @dataclass(frozen=True)
@@ -395,8 +389,11 @@ def split_folds(matrix: InteractionMatrix, folds: int, seed: int):
     j + folds, ... Users with a single positive never appear in any test
     set, so that every train fold keeps them. Memory is O(nnz) whatever
     folds is. A fold count below 2, or above the longest row (that fold and
-    every later one would test nothing), raises ConfigError at the call.
+    every later one would test nothing), or a negative seed raises
+    ConfigError at the call.
     """
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
     longest = int(matrix.row_counts.max(initial=0))
     if not 2 <= folds <= longest:
         raise ConfigError(f"folds must be at least 2 and at most {longest}, "

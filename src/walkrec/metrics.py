@@ -41,27 +41,6 @@ class EvalReport:
         return out
 
 
-def _stable_ranks(neg: np.ndarray, items: np.ndarray) -> np.ndarray:
-    """1-based positions of items in a stable ascending sort of neg.
-
-    Equal values rank by smaller index, as in argsort(kind="stable"), but
-    only neg is sorted: a search counts the strictly smaller values, and an
-    item with equal neighbours adds those at smaller indices.
-    """
-    srt = np.sort(neg)
-    vals = neg[items]
-    lo = srt.searchsorted(vals, "left")
-    ranks = lo + 1
-    tied = (srt.searchsorted(vals, "right") - lo > 1).nonzero()[0]
-    for t in tied.tolist():
-        j = items[t]
-        head = neg[:j]
-        # NaN != NaN, yet the sort keeps NaNs together after +inf
-        same = np.isnan(head) if np.isnan(neg[j]) else head == neg[j]
-        ranks[t] += np.count_nonzero(same)
-    return ranks
-
-
 def _idcg(k: int) -> float:
     return float(np.sum(1.0 / np.log2(np.arange(1, k + 1) + 1.0)))
 
@@ -79,10 +58,13 @@ def _exact_ranks(factors: PreferenceFactors, train: InteractionMatrix, u: int,
                  te: np.ndarray) -> np.ndarray:
     """The ranks evaluate reports, by definition: user u's scores from one
     matrix-vector product, train items sunk below every candidate, and the
-    stable ranks of the test items te."""
+    1-based places of the test items te in a stable sort of the negated
+    scores (equal scores rank by smaller id, NaN scores last)."""
     scores = factors.Q @ np.asarray(factors.P[u], dtype=np.float64)
     scores[train.row(u)] = -np.inf
-    return _stable_ranks(-scores, te)
+    place = np.empty(scores.shape[0], dtype=np.int64)
+    place[np.argsort(-scores, kind="stable")] = np.arange(1, scores.shape[0] + 1)
+    return place[te]
 
 
 def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:

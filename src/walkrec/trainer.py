@@ -365,16 +365,28 @@ def fit(train: InteractionMatrix, config: TrainConfig,
         state: TrainState | None = None, log_path: str | None = None) -> TrainState:
     """Run config.epochs training epochs, resuming from state if given.
 
-    A state given must have been trained with config's settings, except
-    RESUME_FREE, as load_state requires of a checkpoint; a mismatch is a
-    ConfigError naming the field. state.config then becomes config. An
-    epoch that leaves a non-finite value raises EstimatorError, and the log
-    at log_path is first put back as the call found it: the same bytes, or
-    absent if it was absent.
+    A state given must have been trained on train with config's settings,
+    except RESUME_FREE, as load_state requires of a checkpoint; social must
+    cover train's users, and test, when evaluation will run, must have
+    train's shape. Each mismatch is a ConfigError naming the argument or
+    field, raised before any epoch runs; state.config then becomes config.
+    An epoch that leaves a non-finite value raises EstimatorError, and the
+    log at log_path is first put back as the call found it: the same bytes,
+    or absent if it was absent.
     """
+    if social is not None and social.n != train.n:
+        raise ConfigError(f"fit: social has {social.n} users but train has "
+                          f"{train.n}")
+    if (test is not None and config.eval_every
+            and (test.n, test.m) != (train.n, train.m)):
+        raise ConfigError(f"fit: test is {test.n}x{test.m} but train is "
+                          f"{train.n}x{train.m}")
     if state is None:
         state = init_state(train, config, social)
     else:
+        if state.train_sha256 != train_sha256(train):
+            raise ConfigError("fit: state was trained on other data (train "
+                              "matrix SHA-256 differs)")
         _check_same_run(state.config, config, "fit", "state")
         state.config = config
     Xd = train.to_dense(DENSE_CELL_GUARD) if config.mode == "exmf_dense" else None
@@ -452,9 +464,9 @@ def load_state(out_dir: str, config: TrainConfig | None, train: InteractionMatri
     setting but RESUME_FREE (and K outside samwalker_pp) must match it, and
     train must be the matrix the checkpoint was fitted on, or the resumed
     run would neither replay the checkpointed one nor be recorded truthfully.
-    A mismatch, or a missing, malformed or wrongly shaped checkpoint file
-    (each file is read into the state init_state builds for this run), is
-    a ConfigError or ParseError naming the field or the file.
+    A mismatch, or a missing, malformed, wrongly shaped or non-finite
+    checkpoint file (each file is read into the state init_state builds for
+    this run), is a ConfigError or ParseError naming the field or the file.
     """
     path = os.path.join(out_dir, "state.json")
     meta = read_json_object(path)
@@ -476,8 +488,14 @@ def load_state(out_dir: str, config: TrainConfig | None, train: InteractionMatri
                           "checkpoint's data")
     state.factors = load_factors(os.path.join(out_dir, "factors.bin"),
                                  train.n, train.m, config.model.d)
+    files = {"factors.bin": [state.factors.P, state.factors.Q]}
     if state.graph is not None:
         load_graph(os.path.join(out_dir, "graph.bin"), state.graph)
+        files["graph.bin"] = logit_arrays(state.graph).values()
+    for name, arrays in files.items():
+        if not all(np.isfinite(a).all() for a in arrays):
+            raise ConfigError(f"{os.path.join(out_dir, name)}: holds non-finite "
+                              "values (the run that wrote it diverged); retrain")
     state.epoch = meta["epoch"]
     state.history = list(meta["history"])
     return state

@@ -198,10 +198,9 @@ class WalkEngine:
             a = b
         return users, items, labels
 
-    def sample_batch(self, rng: np.random.Generator | None = None) -> SampleBatch:
-        """alpha walks per user, all emissions concatenated."""
-        if rng is None:
-            rng = np.random.default_rng(self.cfg.seed)
+    def sample_batch(self, rng: np.random.Generator) -> SampleBatch:
+        """alpha walks per user, all emissions concatenated, every draw from
+        the caller's rng."""
         origins = np.repeat(np.arange(self.n, dtype=np.int64), self.cfg.alpha)
         stops = self.stop_users(origins, rng)
         users, items, labels = self.emit(origins, stops, rng)

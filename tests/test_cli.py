@@ -521,6 +521,28 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert path in err and "non-finite" in err
 
+    @pytest.mark.parametrize("command,name", [("train", "factors.bin"),
+                                              ("train", "graph.bin"),
+                                              ("evaluate", "graph.bin")])
+    def test_non_finite_checkpoint_is_2_before_any_epoch(self, tmp_path, capsys,
+                                                         command, name):
+        data = run_prepare(tmp_path)
+        model = tmp_path / "model"
+        assert cli.main(["train", "--data", data, "--out", str(model)]
+                        + FAST_TRAIN) == 0
+        path = model / name
+        blob = path.read_bytes()
+        path.write_bytes(blob[:-8] + np.array([np.nan], dtype="<f8").tobytes())
+        before = {p.name: p.read_bytes() for p in model.iterdir()}
+        argv = (["train", "--data", data, "--out", str(model), "--resume"]
+                + FAST_TRAIN if command == "train"
+                else ["evaluate", "--data", data, "--model", str(model)])
+        capsys.readouterr()
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: holds non-finite values" in err
+        assert {p.name: p.read_bytes() for p in model.iterdir()} == before
+
 
 class TestPrepare:
     def test_outputs_and_manifest(self, tmp_path):

@@ -436,6 +436,35 @@ class TestFitStateConfig:
         assert out.config is config
         assert out.epoch == 2
 
+    @pytest.mark.parametrize("mode", ["samwalker_pp", "exmf_dense"])
+    def test_fit_refuses_a_state_trained_on_other_data(self, mode):
+        train = random_matrix(10, 13, 0.3, seed=14)
+        other = random_matrix(10, 13, 0.3, seed=15)
+        state = trainer.init_state(train, quick_config(mode))
+        P0 = state.factors.P.copy()
+        with pytest.raises(ConfigError, match="fit: state was trained on other data"):
+            trainer.fit(other, quick_config(mode), state=state)
+        assert state.epoch == 0 and np.array_equal(state.factors.P, P0)
+
+    def test_fit_refuses_social_edges_for_other_users(self):
+        train = random_matrix(8, 10, 0.3, seed=2)
+        social = random_social(12, 3, seed=4)
+        with pytest.raises(ConfigError, match="fit: social has 12 users but "
+                                              "train has 8"):
+            trainer.fit(train, quick_config(mode="samwalker"), social=social)
+
+    def test_fit_refuses_a_test_split_of_another_shape_before_training(self):
+        train = random_matrix(10, 13, 0.3, seed=14)
+        test = random_matrix(10, 12, 0.3, seed=16)
+        state = trainer.init_state(train, quick_config())
+        P0 = state.factors.P.copy()
+        with pytest.raises(ConfigError, match="fit: test is 10x12 but train "
+                                              "is 10x13"):
+            trainer.fit(train, quick_config(eval_every=1), test=test, state=state)
+        assert state.epoch == 0 and np.array_equal(state.factors.P, P0)
+        # a test split that no evaluation reads is not checked
+        assert trainer.fit(train, quick_config(epochs=1), test=test).epoch == 1
+
 
 # The serial epoch body before the graph step's forward shared the epoch
 # with a helper thread: reference for the overlapped one, which must equal
