@@ -19,7 +19,7 @@ The training objective for a set of item columns is
 with ll the Bernoulli log likelihood of the preference model and g the
 confidence regularizer below. phi_objective_and_backward differentiates V
 through the unrolled recurrence with respect to every graph logit by
-reverse-mode accumulation over the tape of intermediates.
+reverse-mode accumulation over the tape of propagated columns.
 """
 
 from __future__ import annotations
@@ -80,32 +80,23 @@ def propagate_columns(graph, Xcols: np.ndarray, t_m: int, c: float,
                       keep_tape: bool = False):
     """Unroll the recurrence on a block of columns; optionally keep the tape.
 
-    Returns (gamma, gammas, parts) where gammas lists gamma^(0..t_m) and
-    parts lists the pseudo-mode bridge intermediates per step (None entries
-    in social mode). Without keep_tape both lists are None.
+    Returns (gamma, gammas, parts) where gammas lists gamma^(0..t_m), the
+    whole tape the graph backward reads, and parts is a list of t_m Nones
+    (the backward keeps no other intermediates). Without keep_tape both
+    lists are None.
     """
     _check_propagation_args(t_m, c)
     graph = normalize_edges(graph)
     gamma = Xcols
     gammas = [Xcols] if keep_tape else None
-    parts_list = [] if keep_tape else None
     for _ in range(t_m):
-        wg, parts = graph.apply_W_parts(gamma)
-        gamma = (1.0 - c) * Xcols + c * wg
+        wg = graph.apply_W(gamma)
+        wg *= c
+        wg += (1.0 - c) * Xcols
+        gamma = wg
         if keep_tape:
             gammas.append(gamma)
-            parts_list.append(parts)
-    return gamma, gammas, parts_list
-
-
-def forward_tape(graph, X: InteractionMatrix, items: np.ndarray, t_m: int,
-                 c: float):
-    """The graph step's taped forward on the given item columns: the
-    propagate_columns result (gamma, gammas, parts) with keep_tape, whose
-    gammas[0] is the columns' indicator block. It reads the graph and X
-    only, so it can run while the factors change."""
-    return propagate_columns(graph, _item_columns(X, items), t_m, c,
-                             keep_tape=True)
+    return gamma, gammas, [None] * t_m if keep_tape else None
 
 
 def propagate_forward(graph, X: InteractionMatrix, item: int, t_m: int,
@@ -120,26 +111,23 @@ def propagate_forward(graph, X: InteractionMatrix, item: int, t_m: int,
 
 def phi_objective_and_backward(params, factors: PreferenceFactors,
                                X: InteractionMatrix, items, t_m: int, c: float,
-                               eta: float, epsilon: float, tape=None):
+                               eta: float, epsilon: float):
     """Objective over the selected item columns and its graph-logit gradient.
 
-    The forward pass tapes gamma^(0..t_m) and the bridge intermediates; the
-    reverse pass walks the tape once, accumulating gradients in probability
-    space and pulling them back through the softmax (and, in pseudo mode, the
-    mixing sigmoid) at the end. Cost is O(t_m * edges * len(items)).
-
-    tape, if given, is forward_tape's result for the same fold, items, t_m
-    and c, and the forward pass is skipped.
+    The forward pass tapes gamma^(0..t_m); the reverse pass walks the tape
+    once, recomputing what it needs of each step, accumulating gradients in
+    probability space and pulling them back through the softmax (and, in
+    pseudo mode, the mixing sigmoid) at the end. Cost is
+    O(t_m * edges * len(items)).
     """
     items = np.asarray(items, dtype=np.int64)
     if items.size and (items.min() < 0 or items.max() >= X.m):
         raise IndexError("item id out of range")
     mat = normalize_edges(params)
-    if tape is None:
-        tape = forward_tape(mat, X, items, t_m, c)
-    gamma, gammas, parts_list = tape
-    Xcols = gammas[0]
+    Xcols = _item_columns(X, items)
+    gamma, gammas, _ = propagate_columns(mat, Xcols, t_m, c, keep_tape=True)
     ll = bern_ll(Xcols, sigmoid(factors.P @ factors.Q[items].T))
     value = float(np.sum(gamma * ll) + np.sum(g_term(gamma, Xcols, eta, epsilon)))
-    gbar = ll + g_term_grad(gamma, Xcols, eta, epsilon)
-    return value, mat.backward(gammas, parts_list, gbar, t_m, c)
+    gbar = ll  # d objective / d gamma, written over ll
+    gbar += g_term_grad(gamma, Xcols, eta, epsilon)
+    return value, mat.backward(gammas, gbar, c)

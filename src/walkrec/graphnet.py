@@ -12,10 +12,10 @@ gate a_u = sigmoid(mix_logit_u), so
 with each phi block row-softmaxed. W is never materialized at scale: the
 social W and the pseudo bridges (user->item UI, item->user IU) are scipy
 CSR matrices. normalize_edges folds the logits into a frozen transition,
-and both families' folds share one interface: apply_W_parts maps a column
-block (n x J) through W in O(edges * J) and returns what the backward
-needs, backward pulls a propagation gradient back to the logits (applying
-W's transpose as it goes), and step draws one walk transition per user.
+and both families' folds share one interface: apply_W maps a column block
+(n x J) through W in O(edges * J), backward pulls a propagation gradient
+back to the logits from the propagated columns alone (applying W's
+transpose as it goes), and step draws one walk transition per user.
 No other module needs to know which family it holds.
 """
 
@@ -208,30 +208,43 @@ class _RowSampler:
         return idx
 
 
-def build_social_graph(edges: SocialEdges, seed=0) -> SocialGraphParams:
-    rng = np.random.default_rng(seed)
-    return SocialGraphParams(
-        edges=edges,
-        logits=rng.normal(0.0, INIT_SCALE, size=edges.n_edges),
-    )
+def _initial_logits(rng, size) -> np.ndarray:
+    """N(0, INIT_SCALE^2) logits from rng, or allocated undrawn if rng is
+    None."""
+    if rng is None:
+        return np.empty(size, dtype=np.float64)
+    return rng.normal(0.0, INIT_SCALE, size=size)
+
+
+def build_social_graph(edges: SocialEdges, seed=0,
+                       drawn: bool = True) -> SocialGraphParams:
+    """Social logits drawn from seed; undrawn (for a checkpoint to be read
+    into) if not drawn."""
+    rng = np.random.default_rng(seed) if drawn else None
+    return SocialGraphParams(edges=edges,
+                             logits=_initial_logits(rng, edges.n_edges))
 
 
 def build_pseudo_graph(train: InteractionMatrix, K: int = 32, seed=0,
-                       ablation: str = "none") -> PseudoGraphParams:
+                       ablation: str = "none",
+                       drawn: bool = True) -> PseudoGraphParams:
+    """Pseudo-graph logits drawn from seed, the mix set by the ablation;
+    the bridge logits are undrawn (for a checkpoint to be read into) if
+    not drawn."""
     if K < 1:
         raise ConfigError("K must be at least 1")
     if ablation not in ABLATION_MIX:
         raise ConfigError(f"unknown ablation {ablation!r}; expected one of "
                           f"{tuple(ABLATION_MIX)}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed) if drawn else None
     nnz, n, m = train.nnz, train.n, train.m
     return PseudoGraphParams(
         train=train,
         K=K,
-        ui_logits=rng.normal(0.0, INIT_SCALE, size=nnz),
-        iu_logits=rng.normal(0.0, INIT_SCALE, size=nnz),
-        uc_logits=rng.normal(0.0, INIT_SCALE, size=(n, K)),
-        cu_logits=rng.normal(0.0, INIT_SCALE, size=(K, n)),
+        ui_logits=_initial_logits(rng, nnz),
+        iu_logits=_initial_logits(rng, nnz),
+        uc_logits=_initial_logits(rng, (n, K)),
+        cu_logits=_initial_logits(rng, (K, n)),
         mix_logits=np.full(n, ABLATION_MIX[ablation]),
     )
 
@@ -252,15 +265,15 @@ class SocialTransition:
         self.W = sparse.csr_array((self.probs, self.targets, self.indptr),
                                   shape=(ed.n, ed.n))
 
-    def apply_W_parts(self, G: np.ndarray):
-        """W G; the social backward needs no intermediates."""
-        return self.W @ G, None
+    def apply_W(self, G: np.ndarray) -> np.ndarray:
+        """W G, as a new array."""
+        return self.W @ G
 
-    def backward(self, gammas, parts_list, gbar, t_m: int,
-                 c: float) -> SocialGraphParams:
-        """Logit gradient, as params, from the tape and d objective / d gamma."""
+    def backward(self, gammas, gbar, c: float) -> SocialGraphParams:
+        """Logit gradient, as params, from the tape gamma^(0..t_m) and
+        d objective / d gamma^(t_m)."""
         gprobs = np.zeros_like(self.probs)
-        for t in range(t_m, 0, -1):
+        for t in range(len(gammas) - 1, 0, -1):
             gprobs += c * pair_dots(gbar, self.src, gammas[t - 1], self.targets)
             gbar = c * (self.W.T @ gbar)
         return replace(self.params,
@@ -306,38 +319,56 @@ class PseudoTransition:
         self.IU = sparse.csr_array((self.iu_probs, self.iu_users, self.iu_indptr),
                                    shape=(self.m, self.n))
 
-    def apply_W_parts(self, G: np.ndarray):
-        """W G along with the bridge intermediates needed for backprop:
-        (IU G, cu_probs G, item-bridge output minus community-bridge output).
-        The backward reads the two bridge outputs only as that difference."""
+    def _bridges(self, G: np.ndarray):
+        """The bridge operands of W G: (IU G, cu_probs G, item-bridge
+        output, community-bridge output)."""
         s = self.IU @ G
         mi = self.UI @ s
         tc = self.cu_probs @ G
-        mc = self.uc_probs @ tc
-        out = self.a[:, None] * mi + (1.0 - self.a)[:, None] * mc
-        return out, (s, tc, mi - mc)
+        return s, tc, mi, self.uc_probs @ tc
 
-    def backward(self, gammas, parts_list, gbar, t_m: int,
-                 c: float) -> PseudoGraphParams:
-        """Logit gradient, as params, from the tape and d objective / d gamma."""
+    def apply_W(self, G: np.ndarray) -> np.ndarray:
+        """W G, as a new array; the bridge outputs are blended in place."""
+        _, _, mi, mc = self._bridges(G)
+        mi *= self.a[:, None]
+        mc *= (1.0 - self.a)[:, None]
+        mi += mc
+        return mi
+
+    def backward(self, gammas, gbar, c: float) -> PseudoGraphParams:
+        """Logit gradient, as params, from the tape gamma^(0..t_m) and
+        d objective / d gamma^(t_m).
+
+        Each step's bridge operands are recomputed from gamma^(t-1) by the
+        forward's own products, so they are bit-equal to the forward's and
+        the tape holds the propagated columns only. The backward reads the
+        two bridge outputs only as their difference.
+        """
         gui = np.zeros_like(self.ui_probs)
         giu = np.zeros_like(self.iu_probs)
         guc = np.zeros_like(self.uc_probs)
         gcu = np.zeros_like(self.cu_probs)
         ga = np.zeros(self.n, dtype=np.float64)
-        for t in range(t_m, 0, -1):
+        for t in range(len(gammas) - 1, 0, -1):
             prev = gammas[t - 1]
-            s, tc, dm = parts_list[t - 1]
-            mbar_i = (c * self.a)[:, None] * gbar
-            mbar_c = (c * (1.0 - self.a))[:, None] * gbar
+            s, tc, dm, mc = self._bridges(prev)
+            dm -= mc  # item-bridge output minus community-bridge output
+            del mc
             ga += c * np.einsum("uj,uj->u", gbar, dm)
-            gui += pair_dots(mbar_i, self.ui_users, s, self.ui_items)
-            sbar = self.UI.T @ mbar_i
+            del dm
+            mbar = (c * self.a)[:, None] * gbar
+            gui += pair_dots(mbar, self.ui_users, s, self.ui_items)
+            del s
+            sbar = self.UI.T @ mbar
             giu += pair_dots(sbar, self.iu_items, prev, self.iu_users)
-            tbar = self.uc_probs.T @ mbar_c
-            guc += mbar_c @ tc.T
+            np.multiply((c * (1.0 - self.a))[:, None], gbar, out=mbar)
+            tbar = self.uc_probs.T @ mbar
+            guc += mbar @ tc.T
+            del mbar, tc
             gcu += tbar @ prev.T
-            gbar = self.IU.T @ sbar + self.cu_probs.T @ tbar
+            gbar = self.IU.T @ sbar
+            del sbar
+            gbar += self.cu_probs.T @ tbar
         gmix = self.a * (1.0 - self.a) * ga
         gmix[self.forced] = 0.0
         return replace(self.params,
@@ -393,7 +424,7 @@ def dense_transition(graph, max_cells: int = 10_000_000) -> np.ndarray:
     graph = normalize_edges(graph)
     if graph.n * graph.n > max_cells:
         raise GuardError(f"dense transition of {graph.n} users exceeds {max_cells} cells")
-    return graph.apply_W_parts(np.eye(graph.n))[0]
+    return graph.apply_W(np.eye(graph.n))
 
 
 def _layout(params):

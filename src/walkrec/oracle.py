@@ -1,20 +1,17 @@
 """Dense and scalar reference computations for small instances.
 
 Everything here is deliberately naive: dense linear algebra on explicit
-matrices, guarded by instance-size checks, and a one-walk-at-a-time walk
-sampler. Tests and benchmarks compare the production paths (sparse
-propagation, vectorized walks, sampled gradients) against these.
+matrices, guarded by instance-size checks. Tests and benchmarks compare the
+production paths (sparse propagation, vectorized walks, sampled gradients)
+against these.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .corpus import InteractionMatrix
 from .errors import GuardError
 from .factors import PreferenceFactors, TAU, sigmoid
-from .graphnet import SocialTransition, normalize_edges
-from .walker import SamplerConfig
 
 MAX_ORACLE_USERS = 500
 MAX_ORACLE_CELLS = 1_000_000
@@ -88,38 +85,3 @@ def exact_full_gradient(factors: PreferenceFactors, gamma: np.ndarray,
     sig = np.clip(sigmoid(factors.P @ factors.Q.T), TAU, 1.0 - TAU)
     R = np.asarray(gamma, dtype=np.float64) * (np.asarray(X, dtype=np.float64) - sig)
     return R @ factors.Q, R.T @ factors.P
-
-
-def walk_sample_user(graph, X: InteractionMatrix, u: int, cfg: SamplerConfig,
-                     rng: np.random.Generator) -> list[tuple[int, int, int]]:
-    """One walk from user u, as a readable scalar reference of the law.
-
-    Returns the emitted (u, item, x_ui) triples. The vectorized engine follows
-    the same law but consumes the rng stream in a different order.
-    """
-    graph = normalize_edges(graph)
-    if not 0 <= u < graph.n:
-        raise IndexError(f"user id {u} out of range [0, {graph.n})")
-    v = u
-    for depth in range(cfg.t_m + 1):
-        if rng.random() >= cfg.c:
-            break
-        if depth == cfg.t_m:
-            v = int(rng.integers(0, graph.n))
-            break
-        if isinstance(graph, SocialTransition):
-            lo, hi = graph.indptr[v], graph.indptr[v + 1]
-            v = int(rng.choice(graph.targets[lo:hi], p=graph.probs[lo:hi]))
-        elif rng.random() < graph.a[v]:
-            lo, hi = graph.ui_indptr[v], graph.ui_indptr[v + 1]
-            i = int(rng.choice(graph.ui_items[lo:hi], p=graph.ui_probs[lo:hi]))
-            lo, hi = graph.iu_indptr[i], graph.iu_indptr[i + 1]
-            v = int(rng.choice(graph.iu_users[lo:hi], p=graph.iu_probs[lo:hi]))
-        else:
-            comm = int(rng.choice(graph.K, p=graph.uc_probs[v]))
-            v = int(rng.choice(graph.n, p=graph.cu_probs[comm]))
-    out = []
-    for i in X.row(v):
-        if rng.random() < 1.0 / cfg.beta:
-            out.append((u, int(i), int(X.labels(np.array([u]), np.array([i]))[0])))
-    return out

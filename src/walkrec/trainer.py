@@ -22,7 +22,6 @@ import hashlib
 import json
 import logging
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,7 +29,7 @@ import numpy as np
 from .corpus import (InteractionMatrix, SocialEdges, read_json_object,
                      write_json_object)
 from .errors import ConfigError, EstimatorError, GuardError
-from .exposure import forward_tape, g_term, phi_objective_and_backward
+from .exposure import g_term, phi_objective_and_backward
 from .factors import (ModelConfig, PreferenceFactors,
                       accumulate_pair_gradients, bern_ll, clamped_sigmoid,
                       init_factors, load_factors, predict_pairs, save_factors,
@@ -235,19 +234,17 @@ def update_theta_from_batch(factors: PreferenceFactors, batch: SampleBatch,
 
 
 def update_phi_step(graph, factors: PreferenceFactors, X: InteractionMatrix,
-                    items, model: ModelConfig, sampler: SamplerConfig,
-                    tape=None) -> float:
+                    items, model: ModelConfig, sampler: SamplerConfig) -> float:
     """Ascend the graph logits on the selected item columns; returns the
     objective value at the pre-step parameters.
 
     graph is the parameters or their fold; either way the fold's parameters
-    are updated in place, and a fold passed in is stale afterwards. tape, if
-    given, is exposure.forward_tape's result for this fold and these items.
+    are updated in place, and a fold passed in is stale afterwards.
     """
     fold = normalize_edges(graph)
     value, grads = phi_objective_and_backward(
         fold, factors, X, items, sampler.t_m, sampler.c,
-        model.eta, model.epsilon, tape=tape)
+        model.eta, model.epsilon)
     grad = logit_arrays(grads)
     for name, logits in logit_arrays(fold.params).items():
         logits += model.lr_phi * grad[name]
@@ -272,24 +269,28 @@ def _select_phi_items(m: int, n_si: int, rng: np.random.Generator) -> np.ndarray
     return np.sort(rng.choice(m, size=n_si, replace=False).astype(np.int64))
 
 
-def init_state(train: InteractionMatrix, config: TrainConfig,
-               social: SocialEdges | None = None) -> TrainState:
+def _build_graph(train: InteractionMatrix, config: TrainConfig,
+                 social: SocialEdges | None, drawn: bool):
+    """config's graph on train (None for exmf_dense), its logits drawn from
+    config.seed, or undrawn for a checkpoint to be read into."""
+    seed = np.random.SeedSequence(config.seed, spawn_key=(0, 1))
     if config.mode == "samwalker":
         if social is None:
             raise ConfigError("samwalker mode needs social edges: a prepared "
                               "directory's social.tsv (prepare --social)")
-        graph = build_social_graph(
-            social, seed=np.random.SeedSequence(config.seed, spawn_key=(0, 1)))
-    elif config.mode == "samwalker_pp":
-        graph = build_pseudo_graph(
-            train, K=config.K,
-            seed=np.random.SeedSequence(config.seed, spawn_key=(0, 1)),
-            ablation=config.ablation)
-    else:
-        if train.n * train.m > DENSE_CELL_GUARD:
-            raise GuardError(
-                f"exmf_dense on {train.n}x{train.m} exceeds {DENSE_CELL_GUARD} cells")
-        graph = None
+        return build_social_graph(social, seed=seed, drawn=drawn)
+    if config.mode == "samwalker_pp":
+        return build_pseudo_graph(train, K=config.K, seed=seed,
+                                  ablation=config.ablation, drawn=drawn)
+    if train.n * train.m > DENSE_CELL_GUARD:
+        raise GuardError(
+            f"exmf_dense on {train.n}x{train.m} exceeds {DENSE_CELL_GUARD} cells")
+    return None
+
+
+def init_state(train: InteractionMatrix, config: TrainConfig,
+               social: SocialEdges | None = None) -> TrainState:
+    graph = _build_graph(train, config, social, drawn=True)
     factors = init_factors(
         train.n, train.m, config.model.d,
         seed=np.random.SeedSequence(config.seed, spawn_key=(0, 0)))
@@ -304,25 +305,17 @@ def _walk_epoch(state: TrainState, train: InteractionMatrix,
     engine = WalkEngine(fold, train, cfg.sampler)
     batch_size = transition_steps = 0
     theta_ll = 0.0
-    # The graph step's taped forward reads the fold and train only, so it
-    # runs on a helper thread beside the last theta update. Its items are
-    # drawn once the last batch is sampled: every walk draw, then the item
-    # draw, as in a serial epoch, since a theta update draws nothing.
-    with ThreadPoolExecutor(max_workers=1) as helper:
-        for step in range(cfg.theta_steps):
-            batch = engine.sample_batch(rng)
-            batch_size += batch.size
-            transition_steps += engine.last_transition_steps
-            if step + 1 == cfg.theta_steps:
-                items = _select_phi_items(train.m, cfg.n_si, rng)
-                forward = helper.submit(forward_tape, fold, train, items,
-                                        cfg.sampler.t_m, cfg.sampler.c)
-            theta_ll += update_theta_from_batch(state.factors, batch,
-                                                cfg.model.lr_theta,
-                                                cfg.model.l2_theta)
-        tape = forward.result()
+    for _ in range(cfg.theta_steps):
+        batch = engine.sample_batch(rng)
+        batch_size += batch.size
+        transition_steps += engine.last_transition_steps
+        theta_ll += update_theta_from_batch(state.factors, batch,
+                                            cfg.model.lr_theta,
+                                            cfg.model.l2_theta)
+    del batch  # freed before the graph step tapes its columns
+    items = _select_phi_items(train.m, cfg.n_si, rng)
     value = update_phi_step(fold, state.factors, train, items,
-                            cfg.model, cfg.sampler, tape=tape)
+                            cfg.model, cfg.sampler)
     return {"epoch": state.epoch, "phi_objective": value,
             "batch_size": batch_size, "batch_ll": theta_ll,
             "transition_steps": transition_steps}
@@ -465,8 +458,9 @@ def load_state(out_dir: str, config: TrainConfig | None, train: InteractionMatri
     train must be the matrix the checkpoint was fitted on, or the resumed
     run would neither replay the checkpointed one nor be recorded truthfully.
     A mismatch, or a missing, malformed, wrongly shaped or non-finite
-    checkpoint file (each file is read into the state init_state builds for
-    this run), is a ConfigError or ParseError naming the field or the file.
+    checkpoint file (each file is read into arrays allocated at this run's
+    shapes, nothing drawn), is a ConfigError or ParseError naming the field
+    or the file.
     """
     path = os.path.join(out_dir, "state.json")
     meta = read_json_object(path)
@@ -481,21 +475,21 @@ def load_state(out_dir: str, config: TrainConfig | None, train: InteractionMatri
     saved = TrainConfig.from_flat(meta["config"], origin=path)
     config = config or saved
     _check_same_run(saved, config, out_dir, "checkpoint")
-    state = init_state(train, config, social)
-    if meta["train_sha256"] != state.train_sha256:
+    graph = _build_graph(train, config, social, drawn=False)
+    if meta["train_sha256"] != train_sha256(train):
         raise ConfigError(f"{out_dir}: checkpoint was trained on other data "
                           "(train matrix SHA-256 differs); use the "
                           "checkpoint's data")
-    state.factors = load_factors(os.path.join(out_dir, "factors.bin"),
-                                 train.n, train.m, config.model.d)
-    files = {"factors.bin": [state.factors.P, state.factors.Q]}
-    if state.graph is not None:
-        load_graph(os.path.join(out_dir, "graph.bin"), state.graph)
-        files["graph.bin"] = logit_arrays(state.graph).values()
+    factors = load_factors(os.path.join(out_dir, "factors.bin"),
+                           train.n, train.m, config.model.d)
+    files = {"factors.bin": [factors.P, factors.Q]}
+    if graph is not None:
+        load_graph(os.path.join(out_dir, "graph.bin"), graph)
+        files["graph.bin"] = logit_arrays(graph).values()
     for name, arrays in files.items():
         if not all(np.isfinite(a).all() for a in arrays):
             raise ConfigError(f"{os.path.join(out_dir, name)}: holds non-finite "
                               "values (the run that wrote it diverged); retrain")
-    state.epoch = meta["epoch"]
-    state.history = list(meta["history"])
-    return state
+    return TrainState(config=config, factors=factors, graph=graph,
+                      train_sha256=meta["train_sha256"], epoch=meta["epoch"],
+                      history=list(meta["history"]))

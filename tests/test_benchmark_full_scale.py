@@ -28,3 +28,7 @@ def test_full_scale_run_is_correct(workload, trace):
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True, proc.stdout
     assert result["failed"] == 0 and result["attempted"] >= 1, proc.stdout
+    if workload == "pp_graph" and trace:
+        # the graph step tapes gamma^(0..t_m) only: t_m + 1 = 6 blocks of
+        # 1000 users x 100 item columns in float64, 4.58 MB
+        assert result["metrics"]["exposure.tape_mb"]["value"] <= 4.6, proc.stdout

@@ -11,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from walkrec import cli, corpus, metrics, trainer
+from walkrec import cli, corpus, metrics, synth, trainer
 from walkrec.factors import load_factors, save_factors
 
 
@@ -913,6 +913,73 @@ class TestCliDeterminism:
             b1 = open(os.path.join(m1, name), "rb").read()
             b2 = open(os.path.join(m2, name), "rb").read()
             assert b1 == b2, name
+
+
+def write_synth_dir(path) -> str:
+    """A prepared directory of a small planted instance and a symmetric
+    random social graph over its users; its products are small enough that
+    BLAS runs them on one thread."""
+    inst = synth.planted_instance(n=60, m=80, seed=3)
+    n = inst.train.n
+    rng = np.random.default_rng(3)
+    pairs = [(u, int(v)) for u in range(n) for v in rng.choice(n, 3, replace=False)
+             if v != u]
+    edges = corpus.social_edges(n, pairs, symmetrize=True)
+    os.makedirs(path)
+    corpus.write_pairs(os.path.join(path, "interactions_train.tsv"), inst.train)
+    corpus.write_pairs(os.path.join(path, "interactions_test.tsv"), inst.test)
+    corpus.write_pairs(os.path.join(path, "social.tsv"), corpus.matrix_from_pairs(
+        n, n, np.repeat(np.arange(n), np.diff(edges.indptr)), edges.targets))
+    corpus.write_json_object(os.path.join(path, "manifest.json"),
+                             {"n": n, "m": inst.train.m})
+    return str(path)
+
+
+# SHA-256 of what `train --epochs 3 --seed 1` writes on write_synth_dir's
+# instance, per mode: any change to these bytes is a change of the run.
+TRAIN_CASES = {
+    "samwalker": ["--mode", "samwalker"],
+    "samwalker_pp": ["--mode", "samwalker_pp"],
+    "no_item": ["--mode", "samwalker_pp", "--ablation", "no_item"],
+    "no_community": ["--mode", "samwalker_pp", "--ablation", "no_community"],
+}
+TRAIN_SHA256 = {
+    "samwalker": {
+        "factors.bin": "692c1983f08bbdf5639bf01bd0fed213f53c3b2baed1799fcf3f6b4399443ebb",
+        "graph.bin": "e9f65ec0528e0aafe6580578f871d8599de054bc390a5685231a65da5dd7f1a5",
+        "state.json": "e3b94e27ba69fe623ebe3c9f20cadab30ead8b4809a765ef3d54fea8009b2020",
+    },
+    "samwalker_pp": {
+        "factors.bin": "68751463441e3fb16736047e4548413e103047f4bb19e4e327f0c87d11400466",
+        "graph.bin": "a14363458de0f4f1fc172e6aeca50f1bc697ec75d40a2be7a4f0c08fbc07d14d",
+        "state.json": "5c56850c54e79af0fa26059769e17c3ea204a3093eac824e75f4b6855de52cdf",
+    },
+    "no_item": {
+        "factors.bin": "99e360d0532fa109937094bbb29bad4c80f9fa06ca85c2c4a244b1df16cb5122",
+        "graph.bin": "2f2029e5e76adf71b7f4402c20d231a93e18dcded8a2bfaf49b2f467fb8f73d5",
+        "state.json": "7351233e4487512c58c4ff9753481f7e9d98e32ea748f94a3543df6988c0111a",
+    },
+    "no_community": {
+        "factors.bin": "00162241cd6cdeceedd1d60d493f1756c4b58945e01e2c7ccae0ed7c73a32e57",
+        "graph.bin": "fbc6d4c86cbd1f31773e10d4850d7aa0f04933d7c09d07bbc3882c2a8864d438",
+        "state.json": "4a7bf153ab547a62f1ffa890554e14a0e613293b0143a0a63e5e531dfba9654b",
+    },
+}
+
+
+class TestTrainingBytes:
+    @pytest.mark.parametrize("case", sorted(TRAIN_CASES))
+    def test_checkpoint_bytes_are_pinned(self, tmp_path, case):
+        data = write_synth_dir(tmp_path / "data")
+        out = str(tmp_path / "model")
+        argv = ["train", "--data", data, "--out", out, "--epochs", "3",
+                "--seed", "1"] + TRAIN_CASES[case]
+        assert cli.main(argv) == 0
+        got = {}
+        for name in ("factors.bin", "graph.bin", "state.json"):
+            with open(os.path.join(out, name), "rb") as fh:
+                got[name] = hashlib.sha256(fh.read()).hexdigest()
+        assert got == TRAIN_SHA256[case]
 
 
 class TestFlatSchema:

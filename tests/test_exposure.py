@@ -1,6 +1,7 @@
 """Confidence propagation, the ELBO pieces, and graph-logit gradients."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,8 +10,7 @@ from walkrec import exposure as ex
 from walkrec import trainer
 from walkrec.factors import ModelConfig
 from walkrec.graphnet import (SocialGraphParams, build_pseudo_graph,
-                              build_social_graph, dense_transition,
-                              normalize_edges)
+                              build_social_graph, dense_transition)
 from walkrec.walker import SamplerConfig
 
 from tests.conftest import random_factors, random_matrix, random_social
@@ -279,23 +279,40 @@ class TestPhiGradient:
                      + np.sum(ex.g_term(gamma, X, 0.5, 0.001)))
         assert value == pytest.approx(want, rel=1e-10)
 
-    @pytest.mark.parametrize("family", ["social", "pseudo"])
-    def test_precomputed_tape_changes_nothing(self, family):
-        train = random_matrix(12, 15, 0.3, seed=27)
-        if family == "social":
-            params = build_social_graph(random_social(12, 3, seed=27), seed=27)
-        else:
-            params = build_pseudo_graph(train, K=3, seed=27)
-        f = random_factors(12, 15, 3, seed=27)
-        fold = normalize_edges(params)
-        items = np.array([0, 3, 4, 9, 14])
-        args = (f, train, items, 3, 0.8, 0.5, 0.001)
-        tape = ex.forward_tape(fold, train, items, 3, 0.8)
-        want_value, want = ex.phi_objective_and_backward(fold, *args)
-        value, grads = ex.phi_objective_and_backward(fold, *args, tape=tape)
-        assert value == want_value
-        for name, grad in vars(want).items():
-            assert np.array_equal(getattr(grads, name), grad), name
+
+class TestTapeMemory:
+    def test_pseudo_step_tapes_only_the_propagated_columns(self, monkeypatch):
+        # The backward recomputes each step's bridge operands from
+        # gamma^(t-1), so the forward leaves gamma^(0..t_m) and nothing
+        # else, and the whole step needs only a few n x J and m x J
+        # temporaries above that.
+        n, m, t_m = 200, 300, 3
+        train = random_matrix(n, m, 0.05, seed=31)
+        params = build_pseudo_graph(train, K=4, seed=31)
+        f = random_factors(n, m, 4, seed=31)
+        real = ex.propagate_columns
+        held = {}
+
+        def measured(graph, Xcols, *args, **kwargs):
+            base = tracemalloc.get_traced_memory()[0] - Xcols.nbytes
+            tracemalloc.reset_peak()
+            out = real(graph, Xcols, *args, **kwargs)
+            held["base"] = base
+            held["tape"] = tracemalloc.get_traced_memory()[0] - base
+            return out
+
+        monkeypatch.setattr(ex, "propagate_columns", measured)
+        tracemalloc.start()
+        try:
+            trainer.update_phi_step(params, f, train, np.arange(m),
+                                    ModelConfig(d=4), SamplerConfig(t_m=t_m, c=0.8))
+            peak = tracemalloc.get_traced_memory()[1] - held["base"]
+        finally:
+            tracemalloc.stop()
+        nJ, mJ = 8 * n * m, 8 * m * m  # bytes of an n x J and an m x J block
+        tape = (t_m + 1) * nJ
+        assert held["tape"] <= tape + 16 * 1024
+        assert peak <= tape + 8 * nJ + 2 * mJ
 
 
 class TestObjectives:

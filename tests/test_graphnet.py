@@ -109,9 +109,7 @@ class TestSocialTransition:
         params, mat = self.make(n=7, deg=2, seed=3)
         W = gn.dense_transition(params)
         G = np.random.default_rng(4).normal(0, 1, (7, 3))
-        got, parts = mat.apply_W_parts(G)
-        np.testing.assert_allclose(got, W @ G, atol=1e-12)
-        assert parts is None
+        np.testing.assert_allclose(mat.apply_W(G), W @ G, atol=1e-12)
 
     def test_build_reproducible(self):
         edges = random_social(6, 2, seed=5)
@@ -148,8 +146,7 @@ class TestPseudoTransition:
         train, params, mat = self.make(n=8, m=10, K=2, seed=6)
         W = gn.dense_transition(params)
         G = np.random.default_rng(7).normal(0, 1, (8, 4))
-        got, parts = mat.apply_W_parts(G)
-        np.testing.assert_allclose(got, W @ G, atol=1e-10)
+        np.testing.assert_allclose(mat.apply_W(G), W @ G, atol=1e-10)
 
     def test_userless_item_rows_fall_back_to_communities(self):
         # user 0 has no interactions: its row must still be a distribution,
@@ -168,13 +165,9 @@ class TestPseudoTransition:
     def test_mix_gate_blends_bridges(self):
         train, params, mat = self.make(n=6, m=8, K=2, seed=8)
         G = np.eye(6)
-        out, (s, tc, dm) = mat.apply_W_parts(G)
+        out = mat.apply_W(G)
         mi = mat.UI @ (mat.IU @ G)
         mc = mat.uc_probs @ (mat.cu_probs @ G)
-        # the tape keeps the bridge outputs only as their difference
-        assert np.array_equal(s, mat.IU @ G)
-        assert np.array_equal(tc, mat.cu_probs @ G)
-        assert dm.tobytes() == (mi - mc).tobytes()
         np.testing.assert_allclose(out, mat.a[:, None] * mi
                                    + (1.0 - mat.a)[:, None] * mc, atol=1e-12)
         # both bridge outputs are row-stochastic on their own
@@ -219,8 +212,7 @@ class TestLogitArrays:
         for params in (social, pseudo):
             fold = gn.normalize_edges(params)
             gammas = [np.eye(6, 3)] * 3
-            parts = [fold.apply_W_parts(g)[1] for g in gammas]
-            grads = fold.backward(gammas, parts, np.ones((6, 3)), 2, 0.5)
+            grads = fold.backward(gammas, np.ones((6, 3)), 0.5)
             assert type(grads) is type(params)
             for name, arr in gn.logit_arrays(params).items():
                 grad = gn.logit_arrays(grads)[name]

@@ -320,6 +320,27 @@ class TestDeterminismAndResume:
                         open(os.path.join(resumed, name), "rb") as fb:
                     assert fa.read() == fb.read(), (mode, name)
 
+    @pytest.mark.parametrize("mode", ["samwalker", "samwalker_pp", "exmf_dense"])
+    def test_load_draws_no_random_numbers(self, tmp_path, monkeypatch, mode):
+        # every array is read from the checkpoint, so none is drawn first
+        train = random_matrix(8, 10, 0.3, seed=9)
+        social = random_social(8, 2, seed=9)
+        config = quick_config(mode=mode, epochs=2)
+        state = trainer.fit(train, config, social=social)
+        trainer.save_state(str(tmp_path), state)
+
+        def no_generator(*args, **kwargs):
+            raise AssertionError("load_state made a random generator")
+
+        monkeypatch.setattr(np.random, "default_rng", no_generator)
+        back = trainer.load_state(str(tmp_path), config, train, social=social)
+        monkeypatch.undo()
+        assert back.factors.P.tobytes() == state.factors.P.tobytes()
+        assert back.factors.Q.tobytes() == state.factors.Q.tobytes()
+        if state.graph is not None:
+            for name, arr in logit_arrays(state.graph).items():
+                assert logit_arrays(back.graph)[name].tobytes() == arr.tobytes()
+
     def test_save_load_round_trip(self, tmp_path):
         train = random_matrix(8, 10, 0.3, seed=9)
         social = random_social(8, 2, seed=9)
@@ -466,9 +487,8 @@ class TestFitStateConfig:
         assert trainer.fit(train, quick_config(epochs=1), test=test).epoch == 1
 
 
-# The serial epoch body before the graph step's forward shared the epoch
-# with a helper thread: reference for the overlapped one, which must equal
-# it bit for bit.
+# The epoch body written out step by step, as the reference that fit's
+# epoch must equal bit for bit.
 
 def serial_epoch(state, train, rng) -> dict:
     from walkrec.graphnet import normalize_edges
@@ -531,99 +551,3 @@ class TestOverlappedEpoch:
         train, config, social = self.case(mode, ablation, theta_steps)
         want = serial_fit(train, config, social)
         assert_same_run(trainer.fit(train, config, social=social), want)
-
-    def test_fit_equals_serial_under_rapid_switching(self):
-        # a write by the theta step into anything the forward reads would
-        # show as a changed bit once the two threads interleave finely
-        import sys
-        train, config, social = self.case("samwalker_pp", "none", 1)
-        want = serial_fit(train, config, social)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for _ in range(5):
-                assert_same_run(trainer.fit(train, config, social=social), want)
-        finally:
-            sys.setswitchinterval(interval)
-
-
-class Boom(Exception):
-    pass
-
-
-def _on_helper() -> bool:
-    import threading
-    return threading.current_thread() is not threading.main_thread()
-
-
-class TestHelperThread:
-    """The graph step's helper work fails loudly and never outlives fit."""
-
-    @staticmethod
-    def fit_case(mode):
-        train = random_matrix(20, 30, 0.2, seed=16)
-        social = random_social(20, 3, seed=16)
-        return lambda: trainer.fit(train, quick_config(mode=mode, epochs=2),
-                                   social=social)
-
-    @staticmethod
-    def helper_threads(before):
-        import threading
-        return [t for t in threading.enumerate()
-                if t not in before and t.is_alive()]
-
-    @pytest.mark.parametrize("mode", ["samwalker", "samwalker_pp"])
-    def test_helper_exception_comes_out_of_fit(self, monkeypatch, mode):
-        import threading
-        from walkrec import exposure
-        real = exposure.propagate_columns
-        raised = []
-
-        def failing(*args, **kwargs):
-            if _on_helper():
-                raised.append(Boom(mode))
-                raise raised[-1]
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(exposure, "propagate_columns", failing)
-        before = threading.enumerate()
-        with pytest.raises(Boom) as info:
-            self.fit_case(mode)()
-        assert info.value is raised[0]
-        assert self.helper_threads(before) == []
-
-    @pytest.mark.parametrize("mode", ["samwalker", "samwalker_pp"])
-    def test_helper_work_ends_before_a_failing_fit_returns(self, monkeypatch,
-                                                           mode):
-        # the helper is still busy when the caller's theta step raises; fit
-        # must wait for it before the error comes out
-        import threading
-        import time
-        from walkrec import exposure
-        real = exposure.propagate_columns
-        finished = []
-
-        def failing(*args, **kwargs):
-            raise Boom(mode)
-
-        def slow(*args, **kwargs):
-            out = real(*args, **kwargs)
-            time.sleep(0.2)
-            finished.append(_on_helper())
-            return out
-
-        monkeypatch.setattr(exposure, "propagate_columns", slow)
-        monkeypatch.setattr(trainer, "update_theta_from_batch", failing)
-        before = threading.enumerate()
-        with pytest.raises(Boom):
-            self.fit_case(mode)()
-        assert finished == [True]
-        assert self.helper_threads(before) == []
-
-    def test_no_helper_thread_left_after_fit(self):
-        import threading
-        before = threading.enumerate()
-        for mode in ("samwalker", "samwalker_pp"):
-            state = self.fit_case(mode)()
-            assert state.epoch == 2
-        assert self.helper_threads(before) == []

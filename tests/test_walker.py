@@ -15,8 +15,7 @@ from walkrec.errors import EstimatorError
 from walkrec.graphnet import (_RowSampler, build_pseudo_graph,
                               build_social_graph, dense_transition,
                               normalize_edges)
-from walkrec.oracle import (dense_gamma_truncated, dense_stop_distribution,
-                            walk_sample_user)
+from walkrec.oracle import dense_gamma_truncated, dense_stop_distribution
 
 from tests.conftest import (chi_square_pvalue, random_matrix, random_social)
 
@@ -537,6 +536,41 @@ class TestWalkEngineEmission:
         users, items, labels = engine.emit(empty, empty,
                                            np.random.default_rng(0))
         assert users.size == items.size == labels.size == 0
+
+
+def walk_sample_user(graph, X, u: int, cfg: wk.SamplerConfig,
+                     rng: np.random.Generator) -> list[tuple[int, int, int]]:
+    """One walk from user u, as a readable scalar reference of the law.
+
+    Returns the emitted (u, item, x_ui) triples. The vectorized engine follows
+    the same law but consumes the rng stream in a different order.
+    """
+    graph = normalize_edges(graph)
+    if not 0 <= u < graph.n:
+        raise IndexError(f"user id {u} out of range [0, {graph.n})")
+    v = u
+    for depth in range(cfg.t_m + 1):
+        if rng.random() >= cfg.c:
+            break
+        if depth == cfg.t_m:
+            v = int(rng.integers(0, graph.n))
+            break
+        if graph.kind == "social":
+            lo, hi = graph.indptr[v], graph.indptr[v + 1]
+            v = int(rng.choice(graph.targets[lo:hi], p=graph.probs[lo:hi]))
+        elif rng.random() < graph.a[v]:
+            lo, hi = graph.ui_indptr[v], graph.ui_indptr[v + 1]
+            i = int(rng.choice(graph.ui_items[lo:hi], p=graph.ui_probs[lo:hi]))
+            lo, hi = graph.iu_indptr[i], graph.iu_indptr[i + 1]
+            v = int(rng.choice(graph.iu_users[lo:hi], p=graph.iu_probs[lo:hi]))
+        else:
+            comm = int(rng.choice(graph.K, p=graph.uc_probs[v]))
+            v = int(rng.choice(graph.n, p=graph.cu_probs[comm]))
+    out = []
+    for i in X.row(v):
+        if rng.random() < 1.0 / cfg.beta:
+            out.append((u, int(i), int(X.labels(np.array([u]), np.array([i]))[0])))
+    return out
 
 
 class TestScalarReference:
