@@ -25,9 +25,17 @@ from .oracle import dense_gamma_truncated
 from .trainer import TrainConfig, parse_ks
 from .walker import BASELINE_KINDS, BaselineSampler, WalkEngine
 
-# The settings every bench subcommand takes, and bench's own defaults for
-# some of them; the rest default as TrainConfig does.
-BENCH_SETTINGS = ("mode", "d", "k", "epochs", "seed", "alpha", "beta", "c", "t_m")
+# The settings each bench subcommand reads: variance trains with all of
+# them, sampler trains nothing and takes alpha from --draws, tm-sweep takes
+# t_m from --tm-values, and ablation always trains samwalker_pp. Bench has
+# its own defaults for some; the rest default as TrainConfig does.
+_TRAINED = ("mode", "d", "k", "epochs", "seed", "alpha", "beta", "c", "t_m")
+BENCH_SETTINGS = {
+    "sampler": ("mode", "k", "seed", "beta", "c", "t_m"),
+    "variance": _TRAINED,
+    "tm-sweep": tuple(key for key in _TRAINED if key != "t_m"),
+    "ablation": tuple(key for key in _TRAINED if key != "mode"),
+}
 BENCH_DEFAULTS = {"d": 16, "k": 8, "epochs": 30, "seed": 0}
 
 
@@ -48,16 +56,12 @@ def _add_setting_flags(p: argparse.ArgumentParser, keys, defaults: dict,
 
 def _merge_train_settings(args: argparse.Namespace, **overrides) -> dict:
     """A run's flat settings: the --config file's (bench has none), the
-    setting flags that were given laid over them, then a bench's overrides.
-    A given flag that an override would replace is refused."""
+    setting flags that were given laid over them, then a bench's overrides,
+    which set only keys that its parser offers no flag for."""
     config = getattr(args, "config", None)
     settings = corpus.read_json_object(config) if config else {}
     flags = {key: getattr(args, key) for key in trainer.FLAT_FIELDS
              if getattr(args, key, None) is not None}
-    clash = sorted(flags.keys() & overrides.keys())
-    if clash:
-        raise ConfigError(f"--{clash[0].replace('_', '-')} does not apply to "
-                          f"bench {args.bench_kind}, which sets {clash[0]} itself")
     return {**settings, **flags, **overrides}
 
 
@@ -312,12 +316,12 @@ def cmd_bench_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_bench_common(p: argparse.ArgumentParser) -> None:
+def _add_bench_common(p: argparse.ArgumentParser, kind: str) -> None:
     p.add_argument("--data", help="prepared data directory")
     p.add_argument("--synth", default="n=120,m=200,d=8,groups=4,seed=7",
                    help="synthetic instance spec, key=value pairs")
     p.add_argument("--out", help="output CSV path (default stdout)")
-    _add_setting_flags(p, BENCH_SETTINGS, BENCH_DEFAULTS,
+    _add_setting_flags(p, BENCH_SETTINGS[kind], BENCH_DEFAULTS,
                        ("samwalker", "samwalker_pp"))
 
 
@@ -371,13 +375,13 @@ def build_parser() -> argparse.ArgumentParser:
     bsub = p.add_subparsers(dest="bench_kind", required=True)
 
     b = bsub.add_parser("sampler", help="empirical vs analytic sampler laws")
-    _add_bench_common(b)
+    _add_bench_common(b, "sampler")
     b.add_argument("--draws", type=int, default=200_000,
                    help="draws per sampler (default 200000)")
     b.set_defaults(func=cmd_bench_sampler)
 
     b = bsub.add_parser("variance", help="gradient estimator variance table")
-    _add_bench_common(b)
+    _add_bench_common(b, "variance")
     b.add_argument("--repeats", type=int, default=200,
                    help="batches per sampler (default 200)")
     b.add_argument("--coords", type=int, default=50,
@@ -385,13 +389,13 @@ def build_parser() -> argparse.ArgumentParser:
     b.set_defaults(func=cmd_bench_variance)
 
     b = bsub.add_parser("tm-sweep", help="ranking quality across depths")
-    _add_bench_common(b)
+    _add_bench_common(b, "tm-sweep")
     b.add_argument("--tm-values", dest="tm_values", default="1,2,3,5",
                    help="comma-separated depths (default 1,2,3,5)")
     b.set_defaults(func=cmd_bench_sweep)
 
     b = bsub.add_parser("ablation", help="full vs single-bridge variants")
-    _add_bench_common(b)
+    _add_bench_common(b, "ablation")
     b.set_defaults(func=cmd_bench_sweep)
 
     return parser

@@ -8,7 +8,7 @@ from functools import partial
 import numpy as np
 
 from .corpus import InteractionMatrix
-from .errors import EstimatorError
+from .errors import ConfigError, EstimatorError
 from .factors import PreferenceFactors, accumulate_pair_gradients
 from .graphnet import dense_transition, normalize_edges
 from .oracle import dense_gamma_truncated, exact_full_gradient
@@ -241,8 +241,13 @@ def variance_bench(factors: PreferenceFactors, graph, train: InteractionMatrix,
     beta/alpha; baselines importance-weight each drawn pair by gamma/p and
     average over a batch sized to the walk sampler's expected emission count.
     Raises EstimatorError if a baseline puts zero mass on a pair with
-    positive confidence weight.
+    positive confidence weight, and ConfigError, before any fold or draw,
+    if repeats is below 2 (no sample variance) or n_coords below 1.
     """
+    for name, value, low in (("repeats", repeats, 2), ("n_coords", n_coords, 1)):
+        if value < low:
+            raise ConfigError(f"variance_bench: {name} must be at least {low}, "
+                              f"got {value}")
     graph = normalize_edges(graph)
     W = dense_transition(graph)
     Xd = train.to_dense()

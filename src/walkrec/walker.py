@@ -260,16 +260,18 @@ def _uniform_missing(keys: np.ndarray, universe: int, counts: np.ndarray,
 class BaselineSampler:
     """Fixed iid pair distributions with exact per-pair probabilities.
 
-    All four kinds put mass 1/2 on the positive class and 1/2 on the zero
-    class (allunion excepted: fully uniform over the n*m universe), then
-    spread each class's mass as:
+    allunion is uniform over all n*m pairs. The other kinds put mass 1/2 on
+    the positive class and 1/2 on the zero class, and weigh pair (u, i) of
+    class x by a_x[u] * b_x[i], so that
 
-      allunion  uniform over all pairs
-      balunion  uniform within each class
-      itempop   ones uniform; zero pair (u, i) proportional to item i's
-                positive count
-      cobias    pair (u, i) proportional to (count of u's opposite-class
-                pairs) * (count of i's opposite-class pairs)
+      p(u, i) = 0.5 * a_x[u] * b_x[i] / Z_x,  Z_x the sum over class x,
+
+    with r_u and c_i the positive counts of user u and item i:
+
+      kind      positive class          zero class
+      balunion  1 * 1                   1 * 1
+      itempop   1 * 1                   1 * c_i
+      cobias    (m - r_u) * (n - c_i)   r_u * c_i
     """
 
     def __init__(self, kind: str, X: InteractionMatrix):
@@ -277,39 +279,33 @@ class BaselineSampler:
             raise ValueError(f"unknown sampler kind {kind!r}")
         self.kind = kind
         self.X = X
-        n, m, nnz = X.n, X.m, X.nnz
-        self.n_zero = n * m - nnz
-        if nnz == 0:
+        n, m = X.n, X.m
+        if X.nnz == 0:
             raise EstimatorError("no positive pairs to sample")
-        rc = X.row_counts.astype(np.float64)
-        cc = X.col_counts.astype(np.float64)
         if kind == "allunion":
             return
-        if self.n_zero == 0:
-            raise EstimatorError(f"{kind}: zero class is empty")
-        if kind == "balunion":
-            self._zero_user = AliasTable(m - rc)
-        elif kind == "itempop":
-            w = (n - cc) * cc
-            if w.sum() <= 0:
-                raise EstimatorError("itempop: zero class has no mass")
-            self._zero_item = AliasTable(w)
-            self._z0 = w.sum()
-        elif kind == "cobias":
-            w1 = (m - rc)[X.row_users] * (n - cc)[X.row_items]
-            if w1.sum() <= 0:
-                raise EstimatorError("cobias: positive class has no mass")
-            self._one_pair = AliasTable(w1)
-            self._z1 = w1.sum()
-            total_cc = cc.sum()
-            # sum of c_i over u's positives
-            owned = np.bincount(X.row_users, weights=cc[X.row_items],
-                                minlength=n)
-            w0 = rc * (total_cc - owned)
-            if w0.sum() <= 0:
-                raise EstimatorError("cobias: zero class has no mass")
-            self._zero_user = AliasTable(w0)
-            self._z0 = w0.sum()
+        rc = X.row_counts.astype(np.float64)
+        cc = X.col_counts.astype(np.float64)
+        ones_n, ones_m = np.ones(n), np.ones(m)
+        # (a_x, b_x) indexed by the label x: zero class first
+        self._weights = {"balunion": ((ones_n, ones_m), (ones_n, ones_m)),
+                         "itempop": ((ones_n, cc), (ones_n, ones_m)),
+                         "cobias": ((rc, cc), (m - rc, n - cc))}[kind]
+        (a0, b0), (a1, b1) = self._weights
+        one_pair = a1[X.row_users] * b1[X.row_items]
+        # user u's zero-class mass: a_0[u] times b_0 summed off u's positives
+        zero_user = a0 * (b0.sum() - np.bincount(
+            X.row_users, weights=b0[X.row_items], minlength=n))
+        self._totals = (zero_user.sum(), one_pair.sum())
+        for total, name in zip(self._totals, ("zero", "positive")):
+            if total <= 0:
+                raise EstimatorError(f"{kind}: {name} class has no mass")
+        if kind == "itempop":
+            self._zero_item = AliasTable((n - cc) * cc)
+        else:
+            self._zero_user = AliasTable(zero_user)
+        if kind == "cobias":
+            self._one_pair = AliasTable(one_pair)
             self._item_pop = AliasTable(cc)
             self._cc = cc
 
@@ -317,27 +313,13 @@ class BaselineSampler:
         """Exact draw probability of each (user, item) pair."""
         users = np.asarray(users, dtype=np.int64)
         items = np.asarray(items, dtype=np.int64)
-        X = self.X
-        n, m, nnz = X.n, X.m, X.nnz
-        x = X.labels(users, items).astype(bool)
-        out = np.empty(users.shape[0], dtype=np.float64)
         if self.kind == "allunion":
-            out[:] = 1.0 / (n * m)
-            return out
-        if self.kind == "balunion":
-            out[x] = 0.5 / nnz
-            out[~x] = 0.5 / self.n_zero
-            return out
-        cc = X.col_counts.astype(np.float64)
-        if self.kind == "itempop":
-            out[x] = 0.5 / nnz
-            out[~x] = 0.5 * cc[items[~x]] / self._z0
-            return out
-        rc = X.row_counts.astype(np.float64)
-        w1 = (m - rc[users]) * (n - cc[items])
-        w0 = rc[users] * cc[items]
-        out[x] = 0.5 * w1[x] / self._z1
-        out[~x] = 0.5 * w0[~x] / self._z0
+            return np.full(users.shape[0], 1.0 / (self.X.n * self.X.m))
+        x = self.X.labels(users, items)
+        out = np.empty(users.shape[0], dtype=np.float64)
+        for label, ((a, b), total) in enumerate(zip(self._weights, self._totals)):
+            sel = x == label
+            out[sel] = 0.5 * (a[users[sel]] * b[items[sel]]) / total
         return out
 
     def sample(self, size: int, rng: np.random.Generator) -> SampleBatch:
@@ -362,8 +344,6 @@ class BaselineSampler:
 
     def _sample_ones(self, k: int, rng: np.random.Generator):
         X = self.X
-        if k == 0:
-            return np.zeros(0, np.int64), np.zeros(0, np.int64)
         if self.kind == "cobias":
             e = self._one_pair.draw(rng, k)
         else:
@@ -372,8 +352,6 @@ class BaselineSampler:
 
     def _sample_zeros(self, k: int, rng: np.random.Generator):
         X = self.X
-        if k == 0:
-            return np.zeros(0, np.int64), np.zeros(0, np.int64)
         if self.kind == "balunion":
             users = self._zero_user.draw(rng, k)
             return users, _uniform_missing(users, X.m, X.row_counts, X.row, rng)

@@ -343,10 +343,11 @@ class TestExitCodes:
     @pytest.mark.parametrize("command", ["sampler", "variance", "tm-sweep",
                                          "ablation"])
     def test_bench_non_finite_sampler_flag_is_2(self, capsys, command):
+        fast = [] if command == "sampler" else ["--epochs", "1"]
         for flag in ("--beta", "--c"):
             code = cli.main(["bench", command,
                              "--synth", "n=20,m=30,d=4,groups=2,seed=1",
-                             "--epochs", "1", flag, "nan"])
+                             flag, "nan"] + fast)
             assert code == 2
             assert f"{flag[2:]} must be finite" in capsys.readouterr().err
 
@@ -367,25 +368,29 @@ class TestExitCodes:
     ])
     def test_bench_zero_width_is_2(self, command, flag, message):
         # a flag given as --name=value carries its own value, not 0
+        fast = [] if command == "sampler" else ["--epochs", "1"]
         child = run_capped(["bench", command,
                             "--synth", "n=20,m=30,d=4,groups=2,seed=1",
-                            "--epochs", "1", flag] + ([] if "=" in flag else ["0"]))
+                            flag] + ([] if "=" in flag else ["0"]) + fast)
         assert child.returncode == 2, child.stderr
         assert message in child.stderr and "internal error" not in child.stderr
 
     @pytest.mark.parametrize("command,flag,value", [
         ("sampler", "--alpha", "7"),  # alpha comes from --draws
+        ("sampler", "--epochs", "1"),  # sampler trains nothing
+        # an unknown prefix of --data and --draws: never taken as --draws
+        ("sampler", "--d", "4"),
         ("tm-sweep", "--t-m", "7"),  # depths come from --tm-values
         ("ablation", "--mode", "samwalker"),  # ablation trains samwalker_pp
         ("ablation", "--mode", "samwalker_pp"),
     ])
     def test_bench_flag_it_would_replace_is_2(self, capsys, command, flag, value):
         fast = ["--draws", "2000"] if command == "sampler" else ["--epochs", "1"]
-        code = cli.main(["bench", command, "--synth", "n=20,m=30,d=4,groups=2,seed=1",
-                         flag, value] + fast)
-        assert code == 2
-        assert (f"{flag} does not apply to bench {command}"
-                in capsys.readouterr().err)
+        with pytest.raises(SystemExit) as err:
+            cli.main(["bench", command, "--synth", "n=20,m=30,d=4,groups=2,seed=1",
+                      flag, value] + fast)
+        assert err.value.code == 2
+        assert flag in capsys.readouterr().err
 
     @pytest.mark.parametrize("flags,setting", [
         (["--folds", "0"], "folds"),
@@ -982,6 +987,77 @@ class TestTrainingBytes:
         assert got == TRAIN_SHA256[case]
 
 
+# Each bench command's CSV, on a tiny planted instance or on write_synth_dir's
+# instance (DATA) with its social graph: any change to these bytes is a
+# change of what the bench computes.
+DATA = "<data>"
+BENCH_CASES = {
+    "sampler": ["sampler", "--synth", "n=20,m=30,d=4,groups=2,seed=1",
+                "--draws", "2000", "--k", "4", "--beta", "4", "--c", "0.5",
+                "--t-m", "2"],
+    "sampler-social": ["sampler", "--data", DATA, "--mode", "samwalker",
+                       "--draws", "6000", "--c", "0.5", "--t-m", "2"],
+    "variance": ["variance", "--synth", "n=20,m=30,d=4,groups=2,seed=1",
+                 "--epochs", "2", "--d", "4", "--k", "4", "--alpha", "10",
+                 "--beta", "5", "--t-m", "2", "--repeats", "10", "--coords", "8"],
+    "variance-social": ["variance", "--data", DATA, "--mode", "samwalker",
+                        "--epochs", "2", "--d", "4", "--alpha", "10",
+                        "--beta", "5", "--t-m", "2", "--repeats", "10",
+                        "--coords", "8"],
+    "tm-sweep": ["tm-sweep", "--synth", "n=25,m=35,d=4,groups=2,seed=2",
+                 "--tm-values", "1,2", "--epochs", "2", "--d", "4", "--k", "4",
+                 "--alpha", "10", "--beta", "5"],
+    "ablation": ["ablation", "--synth", "n=25,m=35,d=4,groups=2,seed=3",
+                 "--epochs", "2", "--d", "4", "--k", "4", "--alpha", "10",
+                 "--beta", "5", "--t-m", "2"],
+}
+BENCH_SHA256 = {
+    "ablation": "28ab2564f46eed19ada2b5263b43edc270b30380bb96274feabba43ebaa7e0cc",
+    "sampler": "147b768913884569fb3cd21e33e3e1695d242e917cb17362d9510cc695a1702a",
+    "sampler-social": "af5bbe2b80eb54bed715029422e7a11244d414369c73596ccff0bd511e80b994",
+    "tm-sweep": "fb5c50b70b220f21457f78b84dade3e7be50fccaa96154534308ec0a589c2c50",
+    "variance": "d2cfbbad99cd10768664400e0339c54b0c24bed43f9484fd764b24996866bab3",
+    "variance-social": "11ea0d9f66a891d95542e4f571b962753adb63bc23907a1f884a3052fdf13701",
+}
+# evaluate's CSV and --json report on the samwalker_pp checkpoint that
+# TestTrainingBytes pins.
+EVALUATE_SHA256 = {
+    "csv": "9cab8613f73044618286d93d2d30e8233be17c54c68e00e99420e2b2a4b7ad4b",
+    "json": "f51eba7826bdac2d5be3ffdca25f5f6f297ead1a502c395564974fa6273a5985",
+}
+
+
+def bench_digest(tmp_path, case: str) -> str:
+    data = write_synth_dir(tmp_path / "data")
+    out = tmp_path / "bench.csv"
+    argv = [data if arg == DATA else arg for arg in BENCH_CASES[case]]
+    assert cli.main(["bench"] + argv + ["--out", str(out)]) == 0
+    return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+def evaluate_digests(tmp_path) -> dict:
+    data = write_synth_dir(tmp_path / "data")
+    model = str(tmp_path / "model")
+    assert cli.main(["train", "--data", data, "--out", model, "--epochs", "3",
+                     "--seed", "1"] + TRAIN_CASES["samwalker_pp"]) == 0
+    got = {}
+    for name, flags in (("csv", []), ("json", ["--json"])):
+        out = tmp_path / f"report.{name}"
+        assert cli.main(["evaluate", "--data", data, "--model", model,
+                         "--ks", "3,5", "--out", str(out)] + flags) == 0
+        got[name] = hashlib.sha256(out.read_bytes()).hexdigest()
+    return got
+
+
+class TestReportBytes:
+    @pytest.mark.parametrize("case", sorted(BENCH_CASES))
+    def test_bench_csv_bytes_are_pinned(self, tmp_path, case):
+        assert bench_digest(tmp_path, case) == BENCH_SHA256[case]
+
+    def test_evaluate_bytes_are_pinned(self, tmp_path):
+        assert evaluate_digests(tmp_path) == EVALUATE_SHA256
+
+
 class TestFlatSchema:
     NON_SETTINGS = {"command", "func", "data", "out", "config", "resume",
                     "deterministic"}
@@ -1007,16 +1083,26 @@ class TestFlatSchema:
         assert set(flat) == set(trainer.FLAT_FIELDS)
         assert trainer.TrainConfig.from_flat(flat) == config
 
-    @pytest.mark.parametrize("kind", ["sampler", "variance", "tm-sweep", "ablation"])
-    def test_bench_flags_are_schema_keys_and_its_own(self, kind):
+    TRAINED = {"mode", "d", "k", "epochs", "seed", "alpha", "beta", "c", "t_m"}
+
+    @pytest.mark.parametrize("kind,read", [
+        ("sampler", {"mode", "k", "seed", "beta", "c", "t_m"}),
+        ("variance", TRAINED),
+        ("tm-sweep", TRAINED - {"t_m"}),
+        ("ablation", TRAINED - {"mode"}),
+    ], ids=["sampler", "variance", "tm-sweep", "ablation"])
+    def test_bench_flags_are_schema_keys_and_its_own(self, kind, read):
+        # each bench offers the settings it reads and no other
         args = cli.build_parser().parse_args(["bench", kind])
         own = {"command", "func", "bench_kind", "data", "synth", "out",
                "draws", "repeats", "coords", "tm_values"}
         settings = set(vars(args)) - own
-        assert settings == set(cli.BENCH_SETTINGS)
+        assert settings == set(cli.BENCH_SETTINGS[kind]) == read
         assert settings <= set(trainer.FLAT_FIELDS)
         assert {key: getattr(args, key) for key in settings
-                if getattr(args, key) is not None} == cli.BENCH_DEFAULTS
+                if getattr(args, key) is not None} == {
+            key: value for key, value in cli.BENCH_DEFAULTS.items()
+            if key in settings}
 
     def test_missing_keys_take_dataclass_defaults(self):
         assert trainer.TrainConfig.from_flat({}) == trainer.TrainConfig()

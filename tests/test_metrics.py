@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from walkrec import metrics
 from walkrec.corpus import matrix_from_pairs
+from walkrec.errors import ConfigError
 from walkrec.factors import PreferenceFactors
 from walkrec.graphnet import build_social_graph
 from walkrec.walker import SamplerConfig
@@ -411,6 +412,29 @@ class TestVarianceBench:
         for info in out["samplers"].values():
             assert info["variance"] >= 0.0
         assert out["batch_size"] >= 1
+
+    @pytest.mark.parametrize("repeats,n_coords,name", [
+        (1, 12, "repeats must be at least 2"),
+        (0, 12, "repeats must be at least 2"),
+        (25, 0, "n_coords must be at least 1"),
+        (25, -3, "n_coords must be at least 1"),
+    ])
+    def test_unusable_count_is_refused_before_any_fold(self, monkeypatch,
+                                                        repeats, n_coords, name):
+        # one repeat has no sample variance and no coordinate has no mean:
+        # both used to come back as NaN
+        train = random_matrix(10, 14, 0.3, seed=4)
+        graph = build_social_graph(random_social(10, 3, seed=4), seed=4)
+        f = random_factors(10, 14, 3, seed=4)
+        cfg = SamplerConfig(alpha=30, beta=5.0, c=0.7, t_m=3, seed=0)
+
+        def no_fold(graph):
+            raise AssertionError("folded before refusing")
+
+        monkeypatch.setattr(metrics, "normalize_edges", no_fold)
+        with pytest.raises(ConfigError, match=name):
+            metrics.variance_bench(f, graph, train, cfg, repeats=repeats,
+                                   n_coords=n_coords, seed=0)
 
     def test_uniform_confidence_equalizes_walk_and_allunion(self):
         # all-ones interactions give gamma = 1 everywhere, so the walk law

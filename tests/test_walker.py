@@ -1,5 +1,6 @@
 """Walk engine, baseline samplers, and their exact laws."""
 
+import hashlib
 import math
 import tracemalloc
 
@@ -722,3 +723,54 @@ class TestBaselineSampling:
         assert batch.size == 100
         with pytest.raises(ValueError):
             wk.BaselineSampler("nope", X)
+
+
+def baseline_digests(kind: str) -> dict:
+    """SHA-256 of kind's prob over every pair of a fixed matrix, and of the
+    users, items, labels and probs that sample(size) draws from
+    default_rng(size): size 1 draws no one, size 2 no zero, 500 both."""
+    def digest(*arrays):
+        return hashlib.sha256(b"".join(np.ascontiguousarray(a).tobytes()
+                                       for a in arrays)).hexdigest()
+    X = random_matrix(8, 11, 0.3, seed=22)
+    s = wk.BaselineSampler(kind, X)
+    us, its = np.indices((8, 11))
+    got = {"prob": digest(s.prob(us.ravel(), its.ravel()))}
+    for size in (1, 2, 500):
+        b = s.sample(size, np.random.default_rng(size))
+        got[size] = digest(b.users, b.items, b.labels, b.probs)
+    return got
+
+
+BASELINE_SHA256 = {
+    "allunion": {
+        "prob": "e0368f46b9447f8dbba324b260d684cddf9ab5a84b13e7013d3a9e4a0535b7ce",
+        1: "659a0603437836861f3d25b96ec8a9ae3a591a93a7f29df21a2b0a7ff339a9e9",
+        2: "d96d77327e82f90eb5e6bfbae0f82c4aeb19892872196db1892c52f8faecc3bd",
+        500: "87234272af302be27c6803e231d78d8b08671a7193353c41028c3266742f8817",
+    },
+    "balunion": {
+        "prob": "9a35a5ab5abb0829714ac4f01de6dcc854b14661535e79b316c0cc9cc0e34dd2",
+        1: "afcd55d230bad6a683940f681bf9eeb7153a0be91c0b452e9584a6bb793eca36",
+        2: "cca0edfe78ab03d1adec9d51ad7ddfe4c67d2c135e2c21b1bed54a51ffb55fb1",
+        500: "99b01b60bbbca6aa2e230a9e10e8ba7af8a5f76d99f89c0d4dcc9d0b61db0216",
+    },
+    "itempop": {
+        "prob": "aa41a57aeb6b14750642ded069fdc66d03c3ecf2266d310fee70eb5087ba955c",
+        1: "2d2746a8f4bfbd51e202c957007444c3ce84672e23921b9d966d42307f711f39",
+        2: "cca0edfe78ab03d1adec9d51ad7ddfe4c67d2c135e2c21b1bed54a51ffb55fb1",
+        500: "ac5d0d690c6f19cb0e4f3dd848c9a104fd42b9b0436f0b72a64dead6e5ca027e",
+    },
+    "cobias": {
+        "prob": "526c4e1a7e7f953b0ba1fb9f961ace24a9c8c4f2b116b63d764347aa4f72a0e8",
+        1: "c8301727b5267df29e51ef7ffb23e371012f5bbdeffa4cd3961afb6716094312",
+        2: "edcd2b025be1985704f8111f3ab3370feb8a7c1ab9ac77ef04618792c25bdc0b",
+        500: "0fd14737471057509ad54543bb51a3bd4ac568951cdd995b4e706bb0cf22d08d",
+    },
+}
+
+
+class TestBaselineBytes:
+    @pytest.mark.parametrize("kind", wk.BASELINE_KINDS)
+    def test_draws_and_probs_are_pinned(self, kind):
+        assert baseline_digests(kind) == BASELINE_SHA256[kind]
