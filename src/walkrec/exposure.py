@@ -27,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from .corpus import InteractionMatrix
-from .factors import PreferenceFactors, bern_ll, sigmoid
+from .factors import PreferenceFactors, clamped_sigmoid
 from .graphnet import normalize_edges
 
 GAMMA_CLAMP = 1e-12
@@ -109,25 +109,84 @@ def propagate_forward(graph, X: InteractionMatrix, item: int, t_m: int,
     return gamma[:, 0]
 
 
+def _objective_and_gbar(gamma: np.ndarray, x: np.ndarray,
+                        factors: PreferenceFactors, items: np.ndarray,
+                        eta: float, epsilon: float) -> tuple[float, np.ndarray]:
+    """V at gamma and d V / d gamma for the item columns x of items.
+
+    Bit-equal to sum(gamma * ll) + sum(g_term(gamma, x, ...)) and to
+    ll + g_term_grad(gamma, x, ...), with ll = bern_ll(x, sigma) at the
+    preferences sigma of factors: every product and sum is the one those
+    functions make, in the same order, but at most three n x J arrays are
+    live at once. x holds only 0 and 1, so the terms they weigh by x or
+    1 - x are exactly one of two constants per label, and ll takes one log
+    per cell, as update_theta_from_batch takes it.
+    """
+    ones = x.astype(bool)
+    zeros = ~ones
+    ce, c1e = _clog(eta), _clog(1.0 - eta)
+    by_label = ((ones, _clog(epsilon)), (zeros, _clog(1.0 - epsilon)))
+    # g_term: (1 - gamma) * le + prior - ent
+    a = np.subtract(1.0, gamma)
+    a *= c1e
+    b = np.multiply(gamma, ce)
+    b += a  # prior
+    np.subtract(1.0, gamma, out=a)
+    for where, le in by_label:
+        np.multiply(a, le, out=a, where=where)
+    a += b
+    np.subtract(1.0, gamma, out=b)
+    c = np.maximum(b, GAMMA_CLAMP)
+    np.log(c, out=c)
+    c *= b
+    np.maximum(gamma, GAMMA_CLAMP, out=b)
+    np.log(b, out=b)
+    b *= gamma
+    b += c  # ent
+    del c
+    a -= b
+    g_sum = np.sum(a)
+    del a, b  # the sigmoid's temporaries take their place
+    ll = clamped_sigmoid(factors.P @ factors.Q[items].T)
+    np.log(ll, out=ll, where=ones)
+    np.negative(ll, out=ll, where=zeros)
+    np.log1p(ll, out=ll, where=zeros)
+    a = np.multiply(gamma, ll)
+    value = float(np.sum(a) + g_sum)
+    # g_term_grad: -le + log(eta) - log(1 - eta) - log(gamma) + log(1 - gamma)
+    np.maximum(gamma, GAMMA_CLAMP, out=a)
+    np.log(a, out=a)
+    for where, le in by_label:
+        np.subtract(-le + ce - c1e, a, out=a, where=where)
+    b = np.subtract(1.0, gamma)
+    np.maximum(b, GAMMA_CLAMP, out=b)
+    np.log(b, out=b)
+    a += b
+    ll += a
+    return value, ll
+
+
 def phi_objective_and_backward(params, factors: PreferenceFactors,
                                X: InteractionMatrix, items, t_m: int, c: float,
                                eta: float, epsilon: float):
     """Objective over the selected item columns and its graph-logit gradient.
 
-    The forward pass tapes gamma^(0..t_m); the reverse pass walks the tape
-    once, recomputing what it needs of each step, accumulating gradients in
-    probability space and pulling them back through the softmax (and, in
-    pseudo mode, the mixing sigmoid) at the end. Cost is
-    O(t_m * edges * len(items)).
+    The forward pass tapes gamma^(0..t_m). The objective and its gradient
+    in gamma^(t_m) are taken in place over three n x J buffers, and
+    gamma^(t_m)'s tape slot is then set to None (not popped: the backward
+    counts its steps by the tape's length), since the reverse pass never
+    reads it. The reverse pass walks the tape once, recomputing what it
+    needs of each step, accumulating gradients in probability space and
+    pulling them back through the softmax (and, in pseudo mode, the mixing
+    sigmoid) at the end. Cost is O(t_m * edges * len(items)).
     """
     items = np.asarray(items, dtype=np.int64)
     if items.size and (items.min() < 0 or items.max() >= X.m):
         raise IndexError("item id out of range")
     mat = normalize_edges(params)
     Xcols = _item_columns(X, items)
-    gamma, gammas, _ = propagate_columns(mat, Xcols, t_m, c, keep_tape=True)
-    ll = bern_ll(Xcols, sigmoid(factors.P @ factors.Q[items].T))
-    value = float(np.sum(gamma * ll) + np.sum(g_term(gamma, Xcols, eta, epsilon)))
-    gbar = ll  # d objective / d gamma, written over ll
-    gbar += g_term_grad(gamma, Xcols, eta, epsilon)
+    _, gammas, _ = propagate_columns(mat, Xcols, t_m, c, keep_tape=True)
+    gamma, gammas[-1] = gammas[-1], None
+    value, gbar = _objective_and_gbar(gamma, Xcols, factors, items, eta, epsilon)
+    del gamma
     return value, mat.backward(gammas, gbar, c)

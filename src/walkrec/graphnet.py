@@ -15,14 +15,16 @@ CSR matrices. normalize_edges folds the logits into a frozen transition,
 and both families' folds share one interface: apply_W maps a column block
 (n x J) through W in O(edges * J), backward pulls a propagation gradient
 back to the logits from the propagated columns alone (applying W's
-transpose as it goes), and step draws one walk transition per user.
-No other module needs to know which family it holds.
+transpose as it goes), row_samplers builds the inverse-CDF samplers a
+walk draws its hops from, and step draws one walk transition per user with
+them. A fold does not keep its samplers: the walk that builds them owns
+them, so they are freed with it. No other module needs to know which family
+it holds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -275,17 +277,21 @@ class SocialTransition:
         gprobs = np.zeros_like(self.probs)
         for t in range(len(gammas) - 1, 0, -1):
             gprobs += c * pair_dots(gbar, self.src, gammas[t - 1], self.targets)
-            gbar = c * (self.W.T @ gbar)
+            if t > 1:  # d objective / d gamma^(0) is never read
+                gbar = c * (self.W.T @ gbar)
         return replace(self.params,
                        logits=segment_softmax_vjp(self.probs, gprobs, self.indptr))
 
-    @cached_property
-    def _sampler(self) -> _RowSampler:
-        return _RowSampler(self.probs, self.indptr)
+    def row_samplers(self) -> tuple[_RowSampler]:
+        """A new sampler over each user's out-edges, for step."""
+        return (_RowSampler(self.probs, self.indptr),)
 
-    def step(self, v: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """One random transition from each user in v."""
-        return self.targets[self._sampler.draw(v, rng)]
+    def step(self, v: np.ndarray, rng: np.random.Generator,
+             samplers: tuple[_RowSampler]) -> np.ndarray:
+        """One random transition from each user in v, drawn by the
+        row_samplers of this fold."""
+        (edges,) = samplers
+        return self.targets[edges.draw(v, rng)]
 
 
 class PseudoTransition:
@@ -366,9 +372,10 @@ class PseudoTransition:
             guc += mbar @ tc.T
             del mbar, tc
             gcu += tbar @ prev.T
-            gbar = self.IU.T @ sbar
-            del sbar
-            gbar += self.cu_probs.T @ tbar
+            if t > 1:  # d objective / d gamma^(0) is never read
+                gbar = self.IU.T @ sbar
+                del sbar
+                gbar += self.cu_probs.T @ tbar
         gmix = self.a * (1.0 - self.a) * ga
         gmix[self.forced] = 0.0
         return replace(self.params,
@@ -378,19 +385,20 @@ class PseudoTransition:
                        cu_logits=row_softmax_vjp(self.cu_probs, gcu),
                        mix_logits=gmix)
 
-    @cached_property
-    def _samplers(self) -> tuple[_RowSampler, ...]:
-        """Row samplers for the user->item, item->user, user->community and
-        community->user hops."""
+    def row_samplers(self) -> tuple[_RowSampler, ...]:
+        """New samplers for the user->item, item->user, user->community and
+        community->user hops, for step."""
         return (_RowSampler(self.ui_probs, self.ui_indptr),
                 _RowSampler(self.iu_probs, self.iu_indptr),
                 _RowSampler(self.uc_probs.ravel(), np.arange(self.n + 1) * self.K),
                 _RowSampler(self.cu_probs.ravel(), np.arange(self.K + 1) * self.n))
 
-    def step(self, v: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """One random transition from each user in v: an item hop with
-        probability a_v, else a community hop."""
-        ui, iu, uc, cu = self._samplers
+    def step(self, v: np.ndarray, rng: np.random.Generator,
+             samplers: tuple[_RowSampler, ...]) -> np.ndarray:
+        """One random transition from each user in v, drawn by the
+        row_samplers of this fold: an item hop with probability a_v, else a
+        community hop."""
+        ui, iu, uc, cu = samplers
         item_branch = rng.random(v.shape[0]) < self.a[v]
         out = np.empty_like(v)
         vi = v[item_branch]

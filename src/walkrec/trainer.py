@@ -305,10 +305,12 @@ def _walk_epoch(state: TrainState, train: InteractionMatrix,
     engine = WalkEngine(fold, train, cfg.sampler)
     batch_size = transition_steps = 0
     theta_ll = 0.0
-    for _ in range(cfg.theta_steps):
+    for step in range(cfg.theta_steps):
         batch = engine.sample_batch(rng)
         batch_size += batch.size
         transition_steps += engine.last_transition_steps
+        if step == cfg.theta_steps - 1:
+            del engine  # no walk follows: free the row samplers before theta
         theta_ll += update_theta_from_batch(state.factors, batch,
                                             cfg.model.lr_theta,
                                             cfg.model.l2_theta)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -114,7 +115,11 @@ class _OriginLabeler:
 
 
 class WalkEngine:
-    """Vectorized depth-limited walks with positive-item emission."""
+    """Vectorized depth-limited walks with positive-item emission.
+
+    The engine owns the fold's row samplers: they are built once, on the
+    first transition a walk takes, and freed with the engine.
+    """
 
     def __init__(self, graph, X: InteractionMatrix, cfg: SamplerConfig):
         self.mat = normalize_edges(graph)
@@ -122,6 +127,10 @@ class WalkEngine:
         self.cfg = cfg
         self.n = self.mat.n
         self.last_transition_steps = 0
+
+    @cached_property
+    def _samplers(self) -> tuple:
+        return self.mat.row_samplers()
 
     def stop_users(self, origins: np.ndarray, rng: np.random.Generator
                    ) -> np.ndarray:
@@ -140,7 +149,7 @@ class WalkEngine:
                 # would exceed the depth cap: jump to a uniform user and stop
                 stops[alive] = rng.integers(0, self.n, size=alive.shape[0])
                 break
-            v = self.mat.step(v, rng)
+            v = self.mat.step(v, rng, self._samplers)
             self.last_transition_steps += int(v.shape[0])
         return stops
 
@@ -315,7 +324,10 @@ class BaselineSampler:
         items = np.asarray(items, dtype=np.int64)
         if self.kind == "allunion":
             return np.full(users.shape[0], 1.0 / (self.X.n * self.X.m))
-        x = self.X.labels(users, items)
+        return self._class_prob(users, items, self.X.labels(users, items))
+
+    def _class_prob(self, users, items, x) -> np.ndarray:
+        """Draw probability of each pair, given its label x."""
         out = np.empty(users.shape[0], dtype=np.float64)
         for label, ((a, b), total) in enumerate(zip(self._weights, self._totals)):
             sel = x == label
@@ -332,15 +344,19 @@ class BaselineSampler:
         if self.kind == "allunion":
             users[:] = rng.integers(0, n, size=size)
             items[:] = rng.integers(0, m, size=size)
+            labels = X.labels(users, items)
+            probs = self.prob(users, items)
         else:
+            # a draw's class is its label: positives are drawn from X's
+            # pairs, zeros from the pairs absent from X
             ones = rng.random(size) < 0.5
             k1 = int(ones.sum())
             users[ones], items[ones] = self._sample_ones(k1, rng)
             users[~ones], items[~ones] = self._sample_zeros(size - k1, rng)
-        labels = X.labels(users, items)
+            labels = ones.astype(np.uint8)
+            probs = self._class_prob(users, items, labels)
         return SampleBatch(users=users, items=items, labels=labels,
-                           expected_scale=1.0 / size,
-                           probs=self.prob(users, items))
+                           expected_scale=1.0 / size, probs=probs)
 
     def _sample_ones(self, k: int, rng: np.random.Generator):
         X = self.X

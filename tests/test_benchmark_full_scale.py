@@ -32,3 +32,6 @@ def test_full_scale_run_is_correct(workload, trace):
         # the graph step tapes gamma^(0..t_m) only: t_m + 1 = 6 blocks of
         # 1000 users x 100 item columns in float64, 4.58 MB
         assert result["metrics"]["exposure.tape_mb"]["value"] <= 4.6, proc.stdout
+        # the objective runs in place and gamma^(t_m) is freed before the
+        # backward: 10.24 MB measured, 11.52 before either
+        assert result["metrics"]["exposure.phi_peak_mb"]["value"] <= 10.6, proc.stdout

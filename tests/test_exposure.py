@@ -10,7 +10,8 @@ from walkrec import exposure as ex
 from walkrec import trainer
 from walkrec.factors import ModelConfig
 from walkrec.graphnet import (SocialGraphParams, build_pseudo_graph,
-                              build_social_graph, dense_transition)
+                              build_social_graph, dense_transition,
+                              normalize_edges)
 from walkrec.walker import SamplerConfig
 
 from tests.conftest import random_factors, random_matrix, random_social
@@ -313,6 +314,32 @@ class TestTapeMemory:
         tape = (t_m + 1) * nJ
         assert held["tape"] <= tape + 16 * 1024
         assert peak <= tape + 8 * nJ + 2 * mJ
+
+
+    @pytest.mark.parametrize("family", ["social", "pseudo"])
+    def test_whole_step_peak(self, family):
+        # The objective and its gradient take at most three n x J arrays
+        # beside the tape, and gamma^(t_m) is freed before the backward,
+        # whose steps hold t_m tape blocks, two gradient blocks and one
+        # step's bridge operands.
+        n, m, t_m = 200, 300, 3
+        train = random_matrix(n, m, 0.05, seed=31)
+        if family == "social":
+            params = build_social_graph(random_social(n, 6, seed=31), seed=31)
+        else:
+            params = build_pseudo_graph(train, K=4, seed=31)
+        fold = normalize_edges(params)
+        f = random_factors(n, m, 4, seed=31)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            ex.phi_objective_and_backward(fold, f, train, np.arange(m), t_m,
+                                          0.8, 0.5, 0.001)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        nJ, mJ = 8 * n * m, 8 * m * m  # bytes of an n x J and an m x J block
+        assert peak <= (t_m + 1) * nJ + 5 * nJ + mJ
 
 
 class TestObjectives:

@@ -3,6 +3,7 @@
 import logging
 import os
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from walkrec.errors import ConfigError
 from walkrec.exposure import g_term
 from walkrec.factors import (TAU, ModelConfig, PreferenceFactors, bern_ll,
                              predict_pairs, sigmoid)
-from walkrec.graphnet import build_social_graph, logit_arrays
+from walkrec.graphnet import _RowSampler, build_social_graph, logit_arrays
 from walkrec.walker import SampleBatch, SamplerConfig, WalkEngine
 
 from tests.conftest import random_factors, random_matrix, random_social
@@ -282,6 +283,37 @@ class TestGraphStep:
         train, social, config, _ = self.setup_state(mode, "none")
         trainer.fit(train, config, social=social)
         assert len(folds) == 1
+
+
+class TestWalkSamplerLifetime:
+    @pytest.mark.parametrize("theta_steps", [1, 2])
+    @pytest.mark.parametrize("mode,per_epoch", [("samwalker", 1),
+                                                ("samwalker_pp", 4)])
+    def test_no_row_sampler_outlives_the_walk(self, monkeypatch, mode,
+                                              per_epoch, theta_steps):
+        # An epoch's walk builds its fold's row samplers once and frees them
+        # with its last batch, so none is alive in the graph step.
+        built = []
+        real_init = _RowSampler.__init__
+
+        def recording(self, *args):
+            real_init(self, *args)
+            built.append(weakref.ref(self))
+
+        real_step = trainer.update_phi_step
+        built_by_step = []
+
+        def checked(*args, **kwargs):
+            built_by_step.append(len(built))
+            assert all(ref() is None for ref in built)
+            return real_step(*args, **kwargs)
+
+        monkeypatch.setattr(_RowSampler, "__init__", recording)
+        monkeypatch.setattr(trainer, "update_phi_step", checked)
+        train = random_matrix(10, 14, 0.3, seed=7)
+        config = quick_config(mode=mode, epochs=2, theta_steps=theta_steps)
+        trainer.fit(train, config, social=random_social(10, 3, seed=7))
+        assert built_by_step == [per_epoch, 2 * per_epoch]
 
 
 class TestDeterminismAndResume:
