@@ -3,7 +3,9 @@
 Exit codes: 0 success, 2 usage or configuration problems (argparse uses the
 same code), 3 refused by a size guard or estimator validity check, 1 anything
 else. The train command accepts a JSON config file; explicit flags override
-file values, file values override defaults, and unknown file keys are
+file values, and file values override defaults, or with --resume the
+checkpoint's settings. Unknown file keys, and keys given by a flag or the
+file that the run's mode does not read (trainer.MODE_SETTINGS), are
 rejected. Every train and bench setting flag is built from
 trainer.FLAT_FIELDS, so its name is the --config key with - for _.
 """
@@ -43,11 +45,15 @@ def _add_setting_flags(p: argparse.ArgumentParser, keys, defaults: dict,
                        modes: tuple) -> None:
     """One --flag per FLAT_FIELDS key in keys, typed by the schema, with
     --mode limited to modes; a flag not in defaults is None unless given.
-    Its help shows defaults' value, else TrainConfig's."""
+    Its help names the modes that read it, when not all of modes do, and
+    shows defaults' value, else TrainConfig's."""
     shown = {**TrainConfig().to_flat(), **defaults}
     choices = {"mode": modes, "ablation": trainer.ABLATIONS}
     for key in keys:
         _, _, parse, text = trainer.FLAT_FIELDS[key]
+        readers = [mode for mode in modes if key in trainer.MODE_SETTINGS[mode]]
+        if len(readers) < len(modes):
+            text += f", {' and '.join(readers)} only"
         p.add_argument("--" + key.replace("_", "-"), dest=key,
                        type=parse if parse in (int, float) else str,
                        choices=choices.get(key), default=defaults.get(key),
@@ -166,13 +172,23 @@ def cmd_prepare(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    config = TrainConfig.from_flat(_merge_train_settings(args),
-                                   origin=args.config or "train flags")
+    settings = _merge_train_settings(args)
+    origin = args.config or "train flags"
     train, test, social = _load_data_dir(args.data)
+    if args.resume:  # the checkpoint's settings, the given ones laid over
+        state = trainer.load_state(args.out, train, social=social)
+        config = trainer.resume_config(state.config, settings, args.out, origin)
+    else:
+        config = TrainConfig.from_flat(settings, origin=origin)
+    unread = [key for key in settings
+              if key not in trainer.MODE_SETTINGS[config.mode]]
+    if unread:
+        raise ConfigError(f"{origin}: mode {config.mode} does not read "
+                          f"{', '.join(unread)}")
     if config.eval_every:
         _require_test(args.data, test, "--eval-every")
-    state = (trainer.load_state(args.out, config, train, social=social)
-             if args.resume else trainer.init_state(train, config, social))
+    if not args.resume:
+        state = trainer.init_state(train, config, social)
     log_path = os.path.join(args.out, "metrics.jsonl") if config.eval_every else None
     if log_path:
         os.makedirs(args.out, exist_ok=True)
@@ -186,7 +202,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     train, test, social = _load_data_dir(args.data)
     _require_test(args.data, test, "evaluate")
-    factors = trainer.load_state(args.model, None, train, social=social).factors
+    factors = trainer.load_state(args.model, train, social=social).factors
     report = metrics.evaluate(factors, train, test, ks=parse_ks(args.ks))
     if args.json:
         _write_text(args.out, json.dumps(report.as_dict(), sort_keys=True) + "\n")
@@ -356,7 +372,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="checkpoint directory")
     p.add_argument("--config", help="JSON config file (flags override it)")
     p.add_argument("--resume", action="store_true",
-                   help="continue from the checkpoint in --out")
+                   help="continue from the checkpoint in --out, on its "
+                        "settings with the given ones laid over them")
     p.add_argument("--deterministic", action="store_true",
                    help="accepted for compatibility; training is always "
                         "deterministic (same seed, byte-identical checkpoints)")

@@ -27,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from .corpus import InteractionMatrix
-from .factors import PreferenceFactors, clamped_sigmoid
+from .factors import PreferenceFactors, clamped_sigmoid, label_ll_in_place
 from .graphnet import normalize_edges
 
 GAMMA_CLAMP = 1e-12
@@ -81,9 +81,10 @@ def propagate_columns(graph, Xcols: np.ndarray, t_m: int, c: float,
     """Unroll the recurrence on a block of columns; optionally keep the tape.
 
     Returns (gamma, gammas, parts) where gammas lists gamma^(0..t_m), the
-    whole tape the graph backward reads, and parts is a list of t_m Nones
-    (the backward keeps no other intermediates). Without keep_tape both
-    lists are None.
+    whole tape the graph backward reads once d objective / d gamma^(t_m)
+    has taken gamma^(t_m)'s slot, and parts is a list of t_m Nones (the
+    backward keeps no other intermediates). Without keep_tape both lists
+    are None.
     """
     _check_propagation_args(t_m, c)
     graph = normalize_edges(graph)
@@ -119,8 +120,8 @@ def _objective_and_gbar(gamma: np.ndarray, x: np.ndarray,
     preferences sigma of factors: every product and sum is the one those
     functions make, in the same order, but at most three n x J arrays are
     live at once. x holds only 0 and 1, so the terms they weigh by x or
-    1 - x are exactly one of two constants per label, and ll takes one log
-    per cell, as update_theta_from_batch takes it.
+    1 - x are exactly one of two constants per label, and ll is
+    label_ll_in_place's, as in update_theta_from_batch.
     """
     ones = x.astype(bool)
     zeros = ~ones
@@ -147,10 +148,8 @@ def _objective_and_gbar(gamma: np.ndarray, x: np.ndarray,
     a -= b
     g_sum = np.sum(a)
     del a, b  # the sigmoid's temporaries take their place
-    ll = clamped_sigmoid(factors.P @ factors.Q[items].T)
-    np.log(ll, out=ll, where=ones)
-    np.negative(ll, out=ll, where=zeros)
-    np.log1p(ll, out=ll, where=zeros)
+    ll = label_ll_in_place(clamped_sigmoid(factors.P @ factors.Q[items].T),
+                           ones, zeros)
     a = np.multiply(gamma, ll)
     value = float(np.sum(a) + g_sum)
     # g_term_grad: -le + log(eta) - log(1 - eta) - log(gamma) + log(1 - gamma)
@@ -172,12 +171,13 @@ def phi_objective_and_backward(params, factors: PreferenceFactors,
     """Objective over the selected item columns and its graph-logit gradient.
 
     The forward pass tapes gamma^(0..t_m). The objective and its gradient
-    in gamma^(t_m) are taken in place over three n x J buffers, and
-    gamma^(t_m)'s tape slot is then set to None (not popped: the backward
-    counts its steps by the tape's length), since the reverse pass never
-    reads it. The reverse pass walks the tape once, recomputing what it
-    needs of each step, accumulating gradients in probability space and
-    pulling them back through the softmax (and, in pseudo mode, the mixing
+    in gamma^(t_m) are taken in place over three n x J buffers, and the
+    gradient takes gamma^(t_m)'s tape slot (the reverse pass never reads
+    gamma^(t_m), and counts its steps by the tape's length), so the
+    backward holds the only reference to it and frees it at its first
+    step. The reverse pass walks the tape once, recomputing what it needs
+    of each step, accumulating gradients in probability space and pulling
+    them back through the softmax (and, in pseudo mode, the mixing
     sigmoid) at the end. Cost is O(t_m * edges * len(items)).
     """
     items = np.asarray(items, dtype=np.int64)
@@ -187,6 +187,7 @@ def phi_objective_and_backward(params, factors: PreferenceFactors,
     Xcols = _item_columns(X, items)
     _, gammas, _ = propagate_columns(mat, Xcols, t_m, c, keep_tape=True)
     gamma, gammas[-1] = gammas[-1], None
-    value, gbar = _objective_and_gbar(gamma, Xcols, factors, items, eta, epsilon)
+    value, gammas[-1] = _objective_and_gbar(gamma, Xcols, factors, items,
+                                            eta, epsilon)
     del gamma
-    return value, mat.backward(gammas, gbar, c)
+    return value, mat.backward(gammas, c)

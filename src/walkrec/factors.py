@@ -146,6 +146,21 @@ def bern_ll(x, b):
     return x * np.log(b) + (1.0 - x) * np.log1p(-b)
 
 
+def label_ll_in_place(p: np.ndarray, ones: np.ndarray,
+                      zeros: np.ndarray) -> np.ndarray:
+    """Overwrite p with bern_ll(x, p) for labels x of 0 and 1, and return it.
+
+    ones marks the cells where x is 1 and zeros the rest; p must already be
+    clamped, as clamped_sigmoid leaves it. Each cell takes one log: the term
+    bern_ll multiplies by zero is exactly zero, so every cell, and any sum
+    over them in bern_ll's order, is bit-equal to bern_ll's.
+    """
+    np.log(p, out=p, where=ones)
+    np.negative(p, out=p, where=zeros)
+    np.log1p(p, out=p, where=zeros)
+    return p
+
+
 def grad_theta_pair(factors: PreferenceFactors, u: int, i: int, x: float,
                     l2: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     """Gradient of bern_ll(x, predict(u, i)) - l2/2 * (|p_u|^2 + |q_i|^2).

@@ -271,9 +271,11 @@ class SocialTransition:
         """W G, as a new array."""
         return self.W @ G
 
-    def backward(self, gammas, gbar, c: float) -> SocialGraphParams:
-        """Logit gradient, as params, from the tape gamma^(0..t_m) and
-        d objective / d gamma^(t_m)."""
+    def backward(self, gammas, c: float) -> SocialGraphParams:
+        """Logit gradient, as params, from the tape gamma^(0..t_m - 1) with
+        d objective / d gamma^(t_m) in gamma^(t_m)'s slot, which it empties
+        so that each step's gradient frees the last."""
+        gbar, gammas[-1] = gammas[-1], None
         gprobs = np.zeros_like(self.probs)
         for t in range(len(gammas) - 1, 0, -1):
             gprobs += c * pair_dots(gbar, self.src, gammas[t - 1], self.targets)
@@ -341,15 +343,17 @@ class PseudoTransition:
         mi += mc
         return mi
 
-    def backward(self, gammas, gbar, c: float) -> PseudoGraphParams:
-        """Logit gradient, as params, from the tape gamma^(0..t_m) and
-        d objective / d gamma^(t_m).
+    def backward(self, gammas, c: float) -> PseudoGraphParams:
+        """Logit gradient, as params, from the tape gamma^(0..t_m - 1) with
+        d objective / d gamma^(t_m) in gamma^(t_m)'s slot, which it empties
+        so that each step's gradient frees the last.
 
         Each step's bridge operands are recomputed from gamma^(t-1) by the
         forward's own products, so they are bit-equal to the forward's and
         the tape holds the propagated columns only. The backward reads the
         two bridge outputs only as their difference.
         """
+        gbar, gammas[-1] = gammas[-1], None
         gui = np.zeros_like(self.ui_probs)
         giu = np.zeros_like(self.iu_probs)
         guc = np.zeros_like(self.uc_probs)

@@ -32,8 +32,8 @@ from .errors import ConfigError, EstimatorError, GuardError
 from .exposure import g_term, phi_objective_and_backward
 from .factors import (ModelConfig, PreferenceFactors,
                       accumulate_pair_gradients, bern_ll, clamped_sigmoid,
-                      init_factors, load_factors, predict_pairs, save_factors,
-                      sigmoid)
+                      init_factors, label_ll_in_place, load_factors,
+                      predict_pairs, save_factors, sigmoid)
 from .graphnet import (ABLATION_MIX, PseudoGraphParams, SocialGraphParams,
                        build_pseudo_graph, build_social_graph, load_graph,
                        logit_arrays, normalize_edges, save_graph)
@@ -42,7 +42,6 @@ from .walker import BaselineSampler, SamplerConfig, SampleBatch, WalkEngine
 
 _logger = logging.getLogger(__name__)
 
-MODES = ("samwalker", "samwalker_pp", "exmf_dense")
 ABLATIONS = tuple(ABLATION_MIX)
 DENSE_CELL_GUARD = 10_000_000
 
@@ -66,7 +65,7 @@ def parse_ks(text: str) -> tuple[int, ...]:
 FLAT_FIELDS = {
     "mode": (None, "mode", str, "training mode"),
     "d": ("model", "d", int, "factor dimension"),
-    "k": (None, "K", int, "community count, samwalker_pp only"),
+    "k": (None, "K", int, "community count"),
     "epochs": (None, "epochs", int, "epochs to run"),
     "alpha": ("sampler", "alpha", int, "walks per user per batch"),
     "beta": ("sampler", "beta", float, "item thinning divisor"),
@@ -82,8 +81,17 @@ FLAT_FIELDS = {
     "eval_every": (None, "eval_every", int, "evaluate every E epochs, 0 for never"),
     "ks": (None, "eval_ks", parse_ks, "evaluation cutoffs, comma separated"),
     "seed": (None, "seed", int, "master rng seed"),
-    "ablation": (None, "ablation", str, "freeze the bridge mix, samwalker_pp only"),
+    "ablation": (None, "ablation", str, "freeze the bridge mix"),
 }
+# The FLAT_FIELDS keys each mode reads, in FLAT_FIELDS order: exmf_dense has
+# no walk and no graph, and only samwalker_pp has communities and bridges.
+MODE_SETTINGS = {
+    "samwalker": tuple(key for key in FLAT_FIELDS if key not in ("k", "ablation")),
+    "samwalker_pp": tuple(FLAT_FIELDS),
+    "exmf_dense": ("mode", "d", "epochs", "eta", "epsilon", "lr_theta",
+                   "l2_theta", "eval_every", "ks", "seed"),
+}
+MODES = tuple(MODE_SETTINGS)
 # Settings a resumed run may change: they do not alter the trajectory.
 RESUME_FREE = ("epochs", "eval_every", "ks")
 
@@ -107,8 +115,8 @@ class TrainConfig:
             raise ConfigError(f"unknown mode {self.mode!r}; expected one of {MODES}")
         if self.ablation not in ABLATIONS:
             raise ConfigError(f"unknown ablation {self.ablation!r}")
-        if self.ablation != "none" and self.mode != "samwalker_pp":
-            raise ConfigError("bridge ablations only apply to samwalker_pp")
+        if self.ablation != "none" and "ablation" not in MODE_SETTINGS[self.mode]:
+            raise ConfigError(f"mode {self.mode} does not read ablation")
         if self.epochs < 0 or self.n_si < 1 or self.theta_steps < 1:
             raise ConfigError("epochs must be >= 0; n_si, theta_steps >= 1")
         if self.K < 1:
@@ -177,16 +185,16 @@ def _check_same_run(have: TrainConfig, want: TrainConfig, where: str,
                     what: str) -> None:
     """Refuse to continue the run have describes under want.
 
-    Every setting except RESUME_FREE (and K outside samwalker_pp) must
+    Every setting have's mode reads (MODE_SETTINGS) except RESUME_FREE must
     match; a mismatch is a ConfigError naming the field, since the continued
     run would neither replay have's run nor be recorded truthfully. The
-    message names have as the `what` found at `where`.
+    mode is compared first. The message names have as the `what` found at
+    `where`.
     """
     saved, wanted = have.to_flat(), want.to_flat()
-    for key, (_, name, *_) in FLAT_FIELDS.items():
-        if key in RESUME_FREE or (key == "k" and want.mode != "samwalker_pp"):
-            continue
-        if saved[key] != wanted[key]:
+    for key in MODE_SETTINGS[have.mode]:
+        name = FLAT_FIELDS[key][1]
+        if key not in RESUME_FREE and saved[key] != wanted[key]:
             raise ConfigError(
                 f"{where}: {what} {name} {saved[key]!r} does not match "
                 f"{wanted[key]!r}; resume with the {what}'s settings")
@@ -206,11 +214,9 @@ def update_theta_from_batch(factors: PreferenceFactors, batch: SampleBatch,
     predictions the gradient uses. An empty batch logs a warning, changes
     nothing and returns 0.
 
-    Labels are 0 or 1, so the log likelihood takes one log per pair: the
-    term bern_ll multiplies by zero is exactly zero, and the sum over the
-    same per-pair terms in the same order is bit-equal to bern_ll's. The
-    terms overwrite the predictions once the gradient no longer needs
-    them; the batch itself is left unchanged.
+    The log likelihood terms (label_ll_in_place, bit-equal to bern_ll's)
+    overwrite the predictions once the gradient no longer needs them; the
+    batch itself is left unchanged.
     """
     if batch.size == 0:
         _logger.warning("empty sample batch; theta update skipped")
@@ -226,11 +232,7 @@ def update_theta_from_batch(factors: PreferenceFactors, batch: SampleBatch,
     factors.P += lr * dP
     factors.Q += lr * dQ
     ones = batch.labels.astype(bool)
-    zeros = ~ones
-    np.log(sig, out=sig, where=ones)
-    np.negative(sig, out=sig, where=zeros)
-    np.log1p(sig, out=sig, where=zeros)
-    return float(np.sum(sig))
+    return float(np.sum(label_ll_in_place(sig, ones, ~ones)))
 
 
 def update_phi_step(graph, factors: PreferenceFactors, X: InteractionMatrix,
@@ -360,11 +362,12 @@ def fit(train: InteractionMatrix, config: TrainConfig,
         state: TrainState | None = None, log_path: str | None = None) -> TrainState:
     """Run config.epochs training epochs, resuming from state if given.
 
-    A state given must have been trained on train with config's settings,
-    except RESUME_FREE, as load_state requires of a checkpoint; social must
-    cover train's users, and test, when evaluation will run, must have
-    train's shape. Each mismatch is a ConfigError naming the argument or
-    field, raised before any epoch runs; state.config then becomes config.
+    A state given must have been trained on train, with the settings its
+    mode reads (MODE_SETTINGS), except RESUME_FREE, equal to config's, as
+    resume_config makes them; the others are never read. social must cover
+    train's users, and test, when evaluation will run, must have train's
+    shape. Each mismatch is a ConfigError naming the argument or field,
+    raised before any epoch runs; state.config then becomes config.
     An epoch that leaves a non-finite value raises EstimatorError, and the
     log at log_path is first put back as the call found it: the same bytes,
     or absent if it was absent.
@@ -451,18 +454,16 @@ def save_state(out_dir: str, state: TrainState) -> None:
     write_json_object(os.path.join(out_dir, "state.json"), meta)
 
 
-def load_state(out_dir: str, config: TrainConfig | None, train: InteractionMatrix,
+def load_state(out_dir: str, train: InteractionMatrix,
                social: SocialEdges | None = None) -> TrainState:
-    """Rebuild a TrainState from save_state output plus the data topology.
+    """Rebuild the TrainState save_state wrote to out_dir, with the settings
+    its state.json records, on train and social.
 
-    config None means the settings state.json records; otherwise every
-    setting but RESUME_FREE (and K outside samwalker_pp) must match it, and
-    train must be the matrix the checkpoint was fitted on, or the resumed
-    run would neither replay the checkpointed one nor be recorded truthfully.
-    A mismatch, or a missing, malformed, wrongly shaped or non-finite
-    checkpoint file (each file is read into arrays allocated at this run's
-    shapes, nothing drawn), is a ConfigError or ParseError naming the field
-    or the file.
+    train must be the matrix the checkpoint was fitted on. A mismatch, or a
+    missing, malformed, wrongly shaped or non-finite checkpoint file (each
+    file is read into arrays allocated at the recorded settings' shapes,
+    nothing drawn), is a ConfigError or ParseError naming the field or the
+    file. resume_config lays a continued run's settings over the state's.
     """
     path = os.path.join(out_dir, "state.json")
     meta = read_json_object(path)
@@ -474,9 +475,7 @@ def load_state(out_dir: str, config: TrainConfig | None, train: InteractionMatri
             or not isinstance(meta.get("train_sha256"), str)):
         raise ConfigError(f"{path}: epoch, history or train_sha256 missing "
                           "or malformed")
-    saved = TrainConfig.from_flat(meta["config"], origin=path)
-    config = config or saved
-    _check_same_run(saved, config, out_dir, "checkpoint")
+    config = TrainConfig.from_flat(meta["config"], origin=path)
     graph = _build_graph(train, config, social, drawn=False)
     if meta["train_sha256"] != train_sha256(train):
         raise ConfigError(f"{out_dir}: checkpoint was trained on other data "
@@ -495,3 +494,18 @@ def load_state(out_dir: str, config: TrainConfig | None, train: InteractionMatri
     return TrainState(config=config, factors=factors, graph=graph,
                       train_sha256=meta["train_sha256"], epoch=meta["epoch"],
                       history=list(meta["history"]))
+
+
+def resume_config(saved: TrainConfig, settings: dict, where: str,
+                  origin: str = "settings") -> TrainConfig:
+    """saved's settings with the flat settings laid over them, for a run
+    that continues the checkpoint at where, which saved describes.
+
+    A laid setting that saved's mode reads, other than RESUME_FREE, must
+    keep its checkpointed value: a change is a ConfigError naming the field
+    and where, since the continued run would no longer replay the
+    checkpointed one. origin names the settings' source in parse errors.
+    """
+    config = TrainConfig.from_flat({**saved.to_flat(), **settings}, origin=origin)
+    _check_same_run(saved, config, where, "checkpoint")
+    return config

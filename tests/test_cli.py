@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, config merging, artifact round-trips."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -103,6 +104,16 @@ FAST_TRAIN = ["--epochs", "2", "--d", "4", "--k", "4", "--alpha", "10",
               "--beta", "5", "--t-m", "2", "--n-si", "10"]
 
 
+def fast_train(*flags):
+    """FAST_TRAIN without the settings that flags' --mode (else
+    samwalker_pp) does not read, then flags."""
+    mode = flags[flags.index("--mode") + 1] if "--mode" in flags else "samwalker_pp"
+    pairs = zip(FAST_TRAIN[::2], FAST_TRAIN[1::2])
+    return [arg for flag, value in pairs
+            if flag[2:].replace("-", "_") in trainer.MODE_SETTINGS[mode]
+            for arg in (flag, value)] + list(flags)
+
+
 class TestExitCodes:
     def test_no_command_is_usage_error(self):
         with pytest.raises(SystemExit) as err:
@@ -125,11 +136,12 @@ class TestExitCodes:
                          "--out", str(tmp_path / "o")])
         assert code == 2
 
-    def test_samwalker_without_social_is_2(self, tmp_path):
+    def test_samwalker_without_social_is_2(self, tmp_path, capsys):
         data = run_prepare(tmp_path, with_social=False)
-        code = cli.main(["train", "--data", data, "--mode", "samwalker",
-                         "--out", str(tmp_path / "model")] + FAST_TRAIN)
+        code = cli.main(["train", "--data", data, "--out", str(tmp_path / "model")]
+                        + fast_train("--mode", "samwalker"))
         assert code == 2
+        assert "needs social edges" in capsys.readouterr().err
 
     @pytest.mark.parametrize("bad_line", ["3\tx", "7", "0\t99999", "-1\t2"])
     def test_malformed_social_line_is_2(self, tmp_path, capsys, bad_line):
@@ -139,8 +151,8 @@ class TestExitCodes:
             fh.write(bad_line + "\n# trailing comment\n")
         with open(path, encoding="utf-8") as fh:
             line_no = sum(1 for _ in fh) - 1
-        code = cli.main(["train", "--data", data, "--mode", "samwalker",
-                         "--out", str(tmp_path / "model")] + FAST_TRAIN)
+        code = cli.main(["train", "--data", data, "--out", str(tmp_path / "model")]
+                        + fast_train("--mode", "samwalker"))
         assert code == 2
         assert f"social.tsv:{line_no}:" in capsys.readouterr().err
 
@@ -178,16 +190,16 @@ class TestExitCodes:
             fh.write(b"1\t\xff2\n")
         with open(path, "rb") as fh:
             line_no = fh.read().count(b"\n")
-        code = cli.main(["train", "--data", data, "--mode", "samwalker",
-                         "--out", str(tmp_path / "model")] + FAST_TRAIN)
+        code = cli.main(["train", "--data", data, "--out", str(tmp_path / "model")]
+                        + fast_train("--mode", "samwalker"))
         assert code == 2
         assert f"social.tsv:{line_no}:" in capsys.readouterr().err
 
     def test_unreadable_social_path_is_2(self, tmp_path, capsys):
         data = run_prepare(tmp_path, with_social=False)
         os.mkdir(os.path.join(data, "social.tsv"))
-        code = cli.main(["train", "--data", data, "--mode", "samwalker",
-                         "--out", str(tmp_path / "model")] + FAST_TRAIN)
+        code = cli.main(["train", "--data", data, "--out", str(tmp_path / "model")]
+                        + fast_train("--mode", "samwalker"))
         assert code == 2
         assert "social.tsv:0: cannot read (Is a directory)" in capsys.readouterr().err
 
@@ -289,7 +301,7 @@ class TestExitCodes:
         assert cli.main(["train", "--data", data, "--out", model]
                         + FAST_TRAIN) == 0
         assert cli.main(["train", "--data", data, "--out", other]
-                        + FAST_TRAIN + donor) == 0
+                        + fast_train(*donor)) == 0
         path = os.path.join(model, name)
         shutil.copyfile(os.path.join(other, name), path)
         before = open(os.path.join(model, "state.json")).read()
@@ -477,8 +489,8 @@ class TestExitCodes:
         # evaluate rebuilds the graph a samwalker model was trained on
         data = run_prepare(tmp_path)
         model = str(tmp_path / "model")
-        assert cli.main(["train", "--data", data, "--out", model, "--mode",
-                         "samwalker"] + FAST_TRAIN) == 0
+        assert cli.main(["train", "--data", data, "--out", model]
+                        + fast_train("--mode", "samwalker")) == 0
         os.remove(os.path.join(data, "social.tsv"))
         capsys.readouterr()
         assert cli.main(["evaluate", "--data", data, "--model", model]) == 2
@@ -744,7 +756,9 @@ class TestTrainEvaluate:
             assert f"checkpoint {name} " in capsys.readouterr().err
         assert open(state_path).read() == before
 
-    # One changed value per compared setting, each valid on its own.
+    # One changed value per compared setting, each valid on its own. The
+    # resume is compared with its checkpoint before the settings its mode
+    # does not read are refused, so --mode exmf_dense reports the mode.
     RESUME_CHANGES = {
         "mode": "exmf_dense", "d": "5", "k": "3", "alpha": "11", "beta": "6",
         "c": "0.5", "t_m": "3", "eta": "0.4", "epsilon": "0.01",
@@ -771,6 +785,70 @@ class TestTrainEvaluate:
         assert f"checkpoint {name} " in capsys.readouterr().err
         assert open(os.path.join(model, "state.json")).read() == before
 
+    # Each setting a mode does not read, as (mode, key).
+    UNREAD = [(mode, key) for mode in trainer.MODES for key in trainer.FLAT_FIELDS
+              if key not in trainer.MODE_SETTINGS[mode]]
+
+    @pytest.mark.parametrize("source", ["flag", "config", "resume"])
+    @pytest.mark.parametrize("mode,key", UNREAD)
+    def test_setting_the_mode_does_not_read_is_2(self, tmp_path, capsys, mode,
+                                                 key, source):
+        data = run_prepare(tmp_path)
+        model = tmp_path / "model"
+        argv = ["train", "--data", data, "--out", str(model)]
+        argv += fast_train("--mode", mode)
+        given = ["--" + key.replace("_", "-"), self.RESUME_CHANGES[key]]
+        if source == "config":
+            (tmp_path / "cfg.json").write_text(
+                json.dumps({key: self.RESUME_CHANGES[key]}))
+            given = ["--config", str(tmp_path / "cfg.json")]
+        if source == "resume":
+            assert cli.main(argv) == 0
+            argv.append("--resume")
+        before = {p.name: p.read_bytes() for p in tmp_path.glob("model/*")}
+        capsys.readouterr()
+        assert cli.main(argv + given) == 2
+        assert f"mode {mode} does not read {key}" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in tmp_path.glob("model/*")} == before
+
+    def test_resume_takes_the_checkpoints_settings(self, tmp_path):
+        # given only --epochs, a resume runs on the settings state.json
+        # records and replays the uninterrupted run byte for byte
+        data = run_prepare(tmp_path)
+        first = ["--k", "4", "--alpha", "10", "--n-si", "10"]
+        straight, resumed = str(tmp_path / "straight"), str(tmp_path / "resumed")
+        assert cli.main(["train", "--data", data, "--out", straight,
+                         "--epochs", "3"] + first) == 0
+        assert cli.main(["train", "--data", data, "--out", resumed,
+                         "--epochs", "2"] + first) == 0
+        assert cli.main(["train", "--data", data, "--out", resumed,
+                         "--resume", "--epochs", "1"]) == 0
+        for name in ("factors.bin", "graph.bin"):
+            with open(os.path.join(straight, name), "rb") as fa, \
+                    open(os.path.join(resumed, name), "rb") as fb:
+                assert fa.read() == fb.read(), name
+        a, b = (corpus.read_json_object(os.path.join(out, "state.json"))
+                for out in (straight, resumed))
+        assert a["config"].pop("epochs") == 3 and b["config"].pop("epochs") == 1
+        assert a == b
+
+    def test_resume_keeps_a_recorded_setting_the_mode_does_not_read(self, tmp_path):
+        # an exmf_dense checkpoint whose state.json records alpha 7, as
+        # train wrote them when every mode took every setting
+        data = run_prepare(tmp_path)
+        model = str(tmp_path / "model")
+        assert cli.main(["train", "--data", data, "--out", model]
+                        + fast_train("--mode", "exmf_dense")) == 0
+        path = os.path.join(model, "state.json")
+        state = corpus.read_json_object(path)
+        state["config"]["alpha"] = 7
+        corpus.write_json_object(path, state)
+        for given in (["--epochs", "1"], ["--mode", "exmf_dense", "--epochs", "1"]):
+            assert cli.main(["train", "--data", data, "--out", model,
+                             "--resume"] + given) == 0
+        state = corpus.read_json_object(path)
+        assert state["epoch"] == 4 and state["config"]["alpha"] == 7
+
     def test_resume_may_change_epochs_and_evaluation(self, tmp_path):
         data = run_prepare(tmp_path)
         model = str(tmp_path / "model")
@@ -787,14 +865,14 @@ class TestTrainEvaluate:
     def test_resume_on_other_data_is_2(self, tmp_path, capsys, mode):
         data = run_prepare(tmp_path)
         model = str(tmp_path / "model")
-        argv = ["train", "--data", data, "--out", model, "--mode", mode]
-        assert cli.main(argv + FAST_TRAIN) == 0
+        argv = ["train", "--data", data, "--out", model]
+        assert cli.main(argv + fast_train("--mode", mode)) == 0
         path = os.path.join(data, "interactions_train.tsv")
         lines = open(path).read().splitlines(keepends=True)
         with open(path, "w") as fh:  # same n and m, one positive fewer
             fh.writelines(lines[:-1])
         capsys.readouterr()
-        assert cli.main(argv + ["--resume"] + FAST_TRAIN) == 2
+        assert cli.main(argv + ["--resume"] + fast_train("--mode", mode)) == 2
         assert "other data" in capsys.readouterr().err
 
     def test_dense_resume_on_other_shape_is_2(self, tmp_path, capsys):
@@ -807,7 +885,7 @@ class TestTrainEvaluate:
                          "--test-fraction", "0.2", "--min-item-count", "2",
                          "--out", other]) == 0
         model = str(tmp_path / "model")
-        dense = ["--mode", "exmf_dense"] + FAST_TRAIN
+        dense = fast_train("--mode", "exmf_dense")
         assert cli.main(["train", "--data", data, "--out", model] + dense) == 0
         capsys.readouterr()
         assert cli.main(["train", "--data", other, "--out", model, "--resume"]
@@ -1082,6 +1160,19 @@ class TestFlatSchema:
         flat = json.loads(json.dumps(config.to_flat()))
         assert set(flat) == set(trainer.FLAT_FIELDS)
         assert trainer.TrainConfig.from_flat(flat) == config
+
+    def test_train_help_names_the_modes_that_read_a_flag(self):
+        parser = cli.build_parser()
+        sub = next(a for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        helps = {a.dest: a.help for a in sub.choices["train"]._actions}
+        assert "samwalker_pp only" in helps["k"]
+        assert "samwalker_pp only" in helps["ablation"]
+        assert "samwalker and samwalker_pp only" in helps["alpha"]
+        for key in trainer.FLAT_FIELDS:
+            readers = [mode for mode in trainer.MODES
+                       if key in trainer.MODE_SETTINGS[mode]]
+            assert (" only " in helps[key]) == (readers != list(trainer.MODES))
 
     TRAINED = {"mode", "d", "k", "epochs", "seed", "alpha", "beta", "c", "t_m"}
 

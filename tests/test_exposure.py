@@ -258,7 +258,7 @@ class TestPhiGradient:
             out = str(tmp_path / ablation)
             trainer.save_state(out, state)
             state = trainer.fit(train, config,
-                                state=trainer.load_state(out, config, train))
+                                state=trainer.load_state(out, train))
             assert state.epoch == 6
             assert np.array_equal(state.graph.mix_logits, np.full(10, logit))
 
@@ -340,6 +340,27 @@ class TestTapeMemory:
             tracemalloc.stop()
         nJ, mJ = 8 * n * m, 8 * m * m  # bytes of an n x J and an m x J block
         assert peak <= (t_m + 1) * nJ + 5 * nJ + mJ
+
+    @pytest.mark.parametrize("t_m", [2, 5])
+    def test_backward_holds_one_gradient(self, t_m):
+        # d V / d gamma^(t_m) reaches the backward in gamma^(t_m)'s tape
+        # slot, so no caller keeps it: each pseudo step frees the gradient
+        # of the step before, and the peak stays a block below what keeping
+        # the first gradient through the reverse pass costs (4.4 blocks).
+        n, m = 200, 300
+        train = random_matrix(n, m, 0.05, seed=31)
+        fold = normalize_edges(build_pseudo_graph(train, K=4, seed=31))
+        f = random_factors(n, m, 4, seed=31)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            ex.phi_objective_and_backward(fold, f, train, np.arange(m), t_m,
+                                          0.8, 0.5, 0.001)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        nJ, mJ = 8 * n * m, 8 * m * m  # bytes of an n x J and an m x J block
+        assert peak <= (t_m + 1) * nJ + 4 * nJ + mJ
 
 
 class TestObjectives:

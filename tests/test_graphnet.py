@@ -211,8 +211,9 @@ class TestLogitArrays:
         pseudo = gn.build_pseudo_graph(train, K=2, seed=0)
         for params in (social, pseudo):
             fold = gn.normalize_edges(params)
-            gammas = [np.eye(6, 3)] * 3
-            grads = fold.backward(gammas, np.ones((6, 3)), 0.5)
+            gammas = [np.eye(6, 3)] * 2 + [np.ones((6, 3))]
+            grads = fold.backward(gammas, 0.5)
+            assert gammas[-1] is None  # the gradient's slot is emptied
             assert type(grads) is type(params)
             for name, arr in gn.logit_arrays(params).items():
                 grad = gn.logit_arrays(grads)[name]

@@ -341,7 +341,7 @@ class TestDeterminismAndResume:
             trainer.save_state(resumed, trainer.fit(
                 train, quick_config(mode, epochs=3, seed=1), social=social))
             config = quick_config(mode, epochs=2, seed=1)
-            loaded = trainer.load_state(resumed, config, train, social=social)
+            loaded = trainer.load_state(resumed, train, social=social)
             state = trainer.fit(train, config, social=social, state=loaded)
             trainer.save_state(resumed, state)
             assert state.epoch == 5
@@ -365,7 +365,7 @@ class TestDeterminismAndResume:
             raise AssertionError("load_state made a random generator")
 
         monkeypatch.setattr(np.random, "default_rng", no_generator)
-        back = trainer.load_state(str(tmp_path), config, train, social=social)
+        back = trainer.load_state(str(tmp_path), train, social=social)
         monkeypatch.undo()
         assert back.factors.P.tobytes() == state.factors.P.tobytes()
         assert back.factors.Q.tobytes() == state.factors.Q.tobytes()
@@ -379,7 +379,7 @@ class TestDeterminismAndResume:
         config = quick_config(mode="samwalker", epochs=2)
         state = trainer.fit(train, config, social=social)
         trainer.save_state(str(tmp_path), state)
-        back = trainer.load_state(str(tmp_path), config, train, social=social)
+        back = trainer.load_state(str(tmp_path), train, social=social)
         assert back.epoch == 2
         np.testing.assert_array_equal(back.factors.P, state.factors.P)
         np.testing.assert_array_equal(back.graph.logits, state.graph.logits)
@@ -389,22 +389,22 @@ class TestDeterminismAndResume:
         config = quick_config(epochs=2, ablation="no_item", eval_every=1)
         state = trainer.fit(train, config)
         trainer.save_state(str(tmp_path), state)
-        back = trainer.load_state(str(tmp_path), None, train)
+        back = trainer.load_state(str(tmp_path), train)
         assert back.config == config and back.epoch == 2
         assert back.history == state.history
         for name, arr in logit_arrays(state.graph).items():
             np.testing.assert_array_equal(logit_arrays(back.graph)[name], arr)
         other = random_matrix(8, 10, 0.3, seed=10)
         with pytest.raises(ConfigError, match="other data"):
-            trainer.load_state(str(tmp_path), None, other)
+            trainer.load_state(str(tmp_path), other)
 
     def test_load_rejects_mode_mismatch(self, tmp_path):
         train = random_matrix(8, 10, 0.3, seed=10)
         state = trainer.fit(train, quick_config(epochs=1))
         trainer.save_state(str(tmp_path), state)
-        with pytest.raises(ConfigError):
-            trainer.load_state(str(tmp_path), quick_config(mode="exmf_dense"),
-                               train)
+        saved = trainer.load_state(str(tmp_path), train).config
+        with pytest.raises(ConfigError, match="checkpoint mode "):
+            trainer.resume_config(saved, {"mode": "exmf_dense"}, str(tmp_path))
 
     @pytest.mark.parametrize("mode,change", [
         ("samwalker_pp", dict(seed=5)),
@@ -421,9 +421,10 @@ class TestDeterminismAndResume:
         state = trainer.fit(train, quick_config(mode, epochs=1), social=social)
         trainer.save_state(str(tmp_path), state)
         name = "d" if "model" in change else next(iter(change))
+        saved = trainer.load_state(str(tmp_path), train, social=social).config
         with pytest.raises(ConfigError, match=f"checkpoint {name} "):
-            trainer.load_state(str(tmp_path), quick_config(mode, **change),
-                               train, social=social)
+            trainer.resume_config(saved, quick_config(mode, **change).to_flat(),
+                                  str(tmp_path))
 
     def test_load_ignores_k_outside_pseudo_mode(self, tmp_path):
         train = random_matrix(8, 10, 0.3, seed=10)
@@ -431,10 +432,51 @@ class TestDeterminismAndResume:
         state = trainer.fit(train, quick_config("samwalker", epochs=1),
                             social=social)
         trainer.save_state(str(tmp_path), state)
-        back = trainer.load_state(str(tmp_path),
-                                  quick_config("samwalker", K=9), train,
-                                  social=social)
-        assert back.epoch == 1
+        back = trainer.load_state(str(tmp_path), train, social=social)
+        config = trainer.resume_config(
+            back.config, quick_config("samwalker", K=9).to_flat(), str(tmp_path))
+        assert back.epoch == 1 and config.K == 9
+
+
+# One valid change per setting that a fit's bytes can show.
+SETTING_CHANGES = {"d": 5, "k": 4, "epochs": 3, "alpha": 9, "beta": 6.0,
+                   "c": 0.5, "t_m": 3, "eta": 0.4, "epsilon": 0.01,
+                   "lr_theta": 0.1, "lr_phi": 0.05, "l2_theta": 0.01,
+                   "n_si": 5, "theta_steps": 2, "seed": 1,
+                   "ablation": "no_item"}
+
+
+class TestModeSettings:
+    def test_table_lists_schema_keys_in_schema_order(self):
+        assert trainer.MODES == tuple(trainer.MODE_SETTINGS)
+        schema = list(trainer.FLAT_FIELDS)
+        assert set(SETTING_CHANGES) == set(schema) - {"mode", "eval_every", "ks"}
+        for keys in trainer.MODE_SETTINGS.values():
+            assert list(keys) == [key for key in schema if key in keys]
+            assert {"mode", "eval_every", "ks"} <= set(keys)
+
+    @staticmethod
+    def fit_bytes(mode, key=None):
+        """factors and graph bytes of a 2-epoch fit, key's field changed on
+        the built config (past its checks) to SETTING_CHANGES' value."""
+        train = random_matrix(10, 13, 0.3, seed=17)
+        social = random_social(10, 3, seed=17)
+        config = quick_config(mode, epochs=2)
+        if key is not None:
+            section, name, *_ = trainer.FLAT_FIELDS[key]
+            setattr(getattr(config, section) if section else config, name,
+                    SETTING_CHANGES[key])
+        state = trainer.fit(train, config, social=social)
+        arrays = [state.factors.P, state.factors.Q]
+        if state.graph is not None:
+            arrays += logit_arrays(state.graph).values()
+        return b"".join(a.tobytes() for a in arrays)
+
+    @pytest.mark.parametrize("key", sorted(SETTING_CHANGES))
+    @pytest.mark.parametrize("mode", trainer.MODES)
+    def test_a_setting_moves_the_run_iff_its_mode_reads_it(self, mode, key):
+        moved = self.fit_bytes(mode, key) != self.fit_bytes(mode)
+        assert moved == (key in trainer.MODE_SETTINGS[mode])
 
 
 class TestEvalLogging:
